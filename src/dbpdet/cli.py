@@ -13,8 +13,8 @@ from dataclasses import replace
 from . import diagnostics, experiments
 from .detectors import DetectorConfig
 from .errors import ConfigError, UsageError
-from .experiments import (ExperimentSpec, SystemSpec, ber_csv, parse_config_file,
-                          preset)
+from .experiments import (ExperimentSpec, SystemSpec, bandwidth_csv, ber_csv,
+                          complexity_csv, convergence_csv, parse_config_file, preset)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,10 +137,7 @@ def _cmd_convergence(args) -> int:
     rows, _ = experiments.run_convergence(spec.system, base, args.m_grid, args.s_grid,
                                           args.snr, args.trials, seed=spec.seed,
                                           workers=spec.workers, out_dir=spec.out_dir)
-    sys.stdout.write("m,S,snr_db,bits,bit_errors,ber\n")
-    for r in rows:
-        sys.stdout.write(f"{r.batch_size},{r.sampling_iterations},{r.snr_db:g},"
-                         f"{r.bits},{r.bit_errors},{r.ber:.10g}\n")
+    sys.stdout.write(convergence_csv(rows))
     return 0
 
 
@@ -150,7 +147,12 @@ def _cmd_bandwidth(args) -> int:
               for b in args.b_grid]
     rows = experiments.run_bandwidth_report(points, measure=not args.no_measured,
                                             seed=args.seed or 0, out_dir=args.out)
-    sys.stdout.write(experiments.bandwidth_csv(rows))
+    sys.stdout.write(bandwidth_csv(rows))
+    centralized = {r.n_ant: r.bits for r in rows if r.mode == "centralized"}
+    for mode in ("mini_star", "mini_chain"):
+        shares = ", ".join(f"B={r.n_ant}: {100 * r.bits / centralized[r.n_ant]:.1f}%"
+                           for r in rows if r.mode == mode)
+        sys.stdout.write(f"# {mode} share of centralized -> {shares}\n")
     return 0
 
 
@@ -160,11 +162,7 @@ def _cmd_complexity(args) -> int:
                             batch_size=args.m, seed=args.seed or 0)
     rows, fits = experiments.run_complexity_report(system, config,
                                                    seed=args.seed or 0, out_dir=args.out)
-    sys.stdout.write("B,U,C,Bc,m,S,Ng,du_mults_mean,du_mults_max,cu_mults\n")
-    for r in rows:
-        sys.stdout.write(f"{r.n_ant},{r.n_users},{r.n_clusters},{r.block_rows},"
-                         f"{r.batch_size},{r.sampling_iterations},{r.nag_iterations},"
-                         f"{r.du_mults_mean:.10g},{r.du_mults_max},{r.cu_mults}\n")
+    sys.stdout.write(complexity_csv(rows))
     for name, info in fits.items():
         sys.stdout.write(f"# fit {name}: {info}\n")
     return 0

@@ -16,6 +16,7 @@ acceptance streams its decisions are bit-identical to the mini-batch
 sampler at m = C.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from . import rng as rngmod
 from .channel import MimoInstance, partition
 from .errors import CapacityError, ConfigError, DegenerateChannelError, NumericInputError
 from .fabric import Fabric, MessageLedger, OpCounters, Topology
-from .modem import Constellation, qam_map
+from .modem import Constellation, build_constellation, qam_map
 
 EXACT_GRAM_FNORM = "exact_gram_fnorm"
 DIAG_APPROX = "diag_approx"
@@ -113,16 +114,20 @@ def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
     the Frobenius norm.
     """
     if mode == EXACT_GRAM_FNORM:
-        gram = np.zeros((clustered.n_users, clustered.n_users), dtype=np.complex128)
-        for c in range(clustered.n_clusters):
-            H_c = clustered.H_blocks[c]
-            gram += H_c.conj().T @ H_c
-        norm = float(np.linalg.norm(gram, "fro"))
-    elif mode == DIAG_APPROX:
-        diag = clustered.gram_diags.sum(axis=0)
-        norm = float(np.sqrt(np.sum(diag * diag)))
-    else:
-        raise ConfigError(f"unknown lr_mode {mode!r}")
+        n_units = clustered.n_clusters
+        gram = fb.batch_hessian(clustered, range(n_units), n_units)
+        return _inverse_norm(float(np.linalg.norm(gram, "fro")))
+    if mode == DIAG_APPROX:
+        return _diag_learning_rate(clustered.gram_diags.sum(axis=0))
+    raise ConfigError(f"unknown lr_mode {mode!r}")
+
+
+def _diag_learning_rate(diag_sum: np.ndarray) -> float:
+    """Inverse Euclidean norm of the summed Gram diagonal."""
+    return _inverse_norm(float(np.sqrt(np.sum(diag_sum * diag_sum))))
+
+
+def _inverse_norm(norm: float) -> float:
     if norm == 0.0:
         raise DegenerateChannelError("all-zero channel has no usable learning rate")
     return 1.0 / norm
@@ -239,10 +244,7 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
     # preprocessing: gram-diagonal upload, learning rate, initial sample
     diag_sum = fabric.collect_gram_diag_sum()
     if config.lr_mode == DIAG_APPROX:
-        norm = float(np.sqrt(np.sum(diag_sum * diag_sum)))
-        if norm == 0.0:
-            raise DegenerateChannelError("all-zero channel has no usable learning rate")
-        tau = 1.0 / norm
+        tau = _diag_learning_rate(diag_sum)
     else:
         tau = learning_rate(fabric.clustered, config.lr_mode)
     if fabric.counters is not None:
@@ -303,19 +305,14 @@ def lmmse_detect(instance: MimoInstance, constellation: Constellation) -> np.nda
     return qam_map(lmmse_estimate(instance), constellation)
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _candidate_matrix(constellation: Constellation, n_users: int) -> np.ndarray:
-    key = (constellation.order, n_users)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is None:
-        m = constellation.order
-        idx = np.arange(m ** n_users)
-        cols = [(idx // m ** (n_users - 1 - u)) % m for u in range(n_users)]
-        cached = constellation.points[np.stack(cols, axis=1)]
-        _CANDIDATE_CACHE[key] = cached
-    return cached
+@functools.lru_cache(maxsize=4)
+def _candidate_matrix(order: int, n_users: int) -> np.ndarray:
+    """Every lattice vector in lexicographic index order (cached, read-only)."""
+    idx = np.arange(order ** n_users)
+    cols = [(idx // order ** (n_users - 1 - u)) % order for u in range(n_users)]
+    lattice = build_constellation(order).points[np.stack(cols, axis=1)]
+    lattice.flags.writeable = False
+    return lattice
 
 
 def ml_brute_force(instance: MimoInstance, constellation: Constellation,
@@ -330,7 +327,7 @@ def ml_brute_force(instance: MimoInstance, constellation: Constellation,
     if constellation.order ** n_users > cap:
         raise CapacityError(
             f"{constellation.order}^{n_users} candidates exceed the cap {cap}")
-    cand = _candidate_matrix(constellation, n_users)
+    cand = _candidate_matrix(constellation.order, n_users)
     gram = instance.H.conj().T @ instance.H
     v = instance.H.conj().T @ instance.y
     quad = np.einsum("nu,nu->n", cand.conj(), cand @ gram.T).real

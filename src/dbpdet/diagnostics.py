@@ -7,6 +7,8 @@ against the standard Metropolis-Hastings criterion with the proposal
 ratio included, assemble the full transition matrix, and measure the
 total-variation distance between the chain's stationary distribution
 and the tempered posterior pi(x) proportional to exp(-||y - Hx||^2).
+Objectives and gradients come from the sampler's own :class:`Fabric`
+kernels, so the checks cover the arithmetic the detector executes.
 
 Everything runs in log space first; probabilities this small underflow
 double precision long before the ratios of interest become inaccurate.
@@ -16,15 +18,15 @@ Thresholds are pilot-calibrated golden values, not derived bounds.
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as rngmod
 from .channel import ClusteredChannel, generate_instance, partition
-from .detectors import _candidate_matrix, learning_rate
+from .detectors import _candidate_matrix, learning_rate, mini_batch_gradient
 from .errors import CapacityError, MappingError, UsageError
-from .fabric import batch_hessian
+from .fabric import Fabric, batch_hessian
 from .modem import Constellation, build_constellation, symbol_indices
 
 ENUM_CAP = 2 ** 20
@@ -37,41 +39,28 @@ def lattice_states(constellation: Constellation, n_users: int,
     if constellation.order ** n_users > cap:
         raise CapacityError(
             f"{constellation.order}^{n_users} states exceed the cap {cap}")
-    return _candidate_matrix(constellation, n_users)
+    return _candidate_matrix(constellation.order, n_users)
 
 
-def _objectives(clustered: ClusteredChannel, states: np.ndarray) -> np.ndarray:
-    """0.5 ||y - Hx||^2 for every state, summed over units ascending."""
-    total = np.zeros(states.shape[0])
-    for c in range(clustered.n_clusters):
-        r = clustered.y_blocks[c][None, :] - states @ clustered.H_blocks[c].T
-        total += 0.5 * np.einsum("nb,nb->n", r.conj(), r).real
-    return total
+def _log_posterior(clustered: ClusteredChannel, states: np.ndarray) -> np.ndarray:
+    """-||y - Hx||^2 for every state, with the sampler's objective kernel."""
+    fabric = Fabric(clustered)
+    return np.array([-2.0 * fabric.objective_sum(x) for x in states])
 
 
 def tempered_posterior(clustered: ClusteredChannel, states: np.ndarray) -> np.ndarray:
     """pi(x) proportional to exp(-||y - Hx||^2), normalized over the lattice."""
-    logp = -2.0 * _objectives(clustered, states)
+    logp = _log_posterior(clustered, states)
     logp -= logp.max()
     p = np.exp(logp)
     return p / p.sum()
-
-
-def _batch_gradient(clustered: ClusteredChannel, x: np.ndarray, batch,
-                    batch_size: int) -> np.ndarray:
-    scale = clustered.n_clusters / batch_size
-    total = np.zeros(clustered.n_users, dtype=np.complex128)
-    for c in sorted(batch):
-        H_c = clustered.H_blocks[c]
-        total += -(H_c.conj().T @ (clustered.y_blocks[c] - H_c @ x))
-    return scale * total
 
 
 def log_proposal_row(clustered: ClusteredChannel, x: np.ndarray, batch,
                      batch_size: int, gamma: float, tau: float,
                      states: np.ndarray) -> np.ndarray:
     """log q(. | x) over all states for one mini-batch realization."""
-    shift = x - tau * _batch_gradient(clustered, x, batch, batch_size)
+    shift = x - tau * mini_batch_gradient(x, batch, Fabric(clustered), batch_size)
     d = states - shift[None, :]
     logits = -np.einsum("nu,nu->n", d.conj(), d).real / (gamma * gamma)
     peak = logits.max()
@@ -117,7 +106,7 @@ def exact_mh_acceptance(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.
     powers = constellation.order ** np.arange(x.shape[0] - 1, -1, -1)
     i = int(np.dot(symbol_indices(x, constellation), powers))
     j = int(np.dot(symbol_indices(x_prime, constellation), powers))
-    logpi = -2.0 * _objectives(clustered, states)
+    logpi = _log_posterior(clustered, states)
     fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
     bwd = log_proposal_row(clustered, x_prime, batch, batch_size, gamma, tau, states)[i]
     alpha_exact = math.exp(min(0.0, logpi[j] - logpi[i] + bwd - fwd))
@@ -169,7 +158,7 @@ def build_transition_matrix(clustered: ClusteredChannel, constellation: Constell
                                         gamma, tau, states)) for b in batches]
         q[i] = np.mean(rows, axis=0)
 
-    logpi = -2.0 * _objectives(clustered, states)
+    logpi = _log_posterior(clustered, states)
     ratio = np.minimum(logpi[None, :] - logpi[:, None], 0.0)
     accept = np.exp(ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,23 +207,19 @@ def detailed_balance_residual(transition: np.ndarray, pi: np.ndarray) -> float:
 
 def measured_hessian_norm(clustered: ClusteredChannel, batch, batch_size: int,
                           tol: float = 1e-13, max_iter: int = 50_000) -> float:
-    """sup ||H_batch z|| / ||z|| measured through the operator itself."""
-    scale = clustered.n_clusters / batch_size
+    """sup ||H_batch z|| / ||z|| measured through the operator itself.
+
+    With y = 0 the sampler's mini-batch gradient at z is exactly the
+    mini-batch Hessian applied to z, so the power iteration runs on the
+    gradient kernel the detector executes.
+    """
+    noiseless = Fabric(replace(clustered, y_blocks=np.zeros_like(clustered.y_blocks)))
     rng = np.random.default_rng(0)
     z = rng.standard_normal(clustered.n_users) + 1j * rng.standard_normal(clustered.n_users)
     z /= np.linalg.norm(z)
-    batch = sorted(batch)
-
-    def apply(v):
-        out = np.zeros_like(v)
-        for c in batch:
-            H_c = clustered.H_blocks[c]
-            out += H_c.conj().T @ (H_c @ v)
-        return scale * out
-
     prev = 0.0
     for _ in range(max_iter):
-        w = apply(z)
+        w = mini_batch_gradient(z, batch, noiseless, batch_size)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0

@@ -25,9 +25,5 @@ class CapacityError(RuntimeError):
     """Exhaustive enumeration would exceed the configured cap."""
 
 
-class LocalityError(RuntimeError):
-    """A unit attempted to read another unit's local data."""
-
-
 class UsageError(ValueError):
     """Bad command-line or config-file usage."""

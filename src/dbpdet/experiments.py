@@ -186,19 +186,18 @@ def run_ber_sweep(spec: ExperimentSpec) -> list[BerPoint]:
     rows: list[BerPoint] = []
     for snr in spec.snr_db:
         per_det = {name: [] for name in spec.detectors}
+        trials = dict.fromkeys(spec.detectors, 0)
+        bit_errs = dict.fromkeys(spec.detectors, 0)
 
         def stop(block_res):
             for name, arr in block_res.items():
                 per_det[name].append(arr)
+                trials[name] += arr.shape[0]
+                bit_errs[name] += int(arr[:, 0].sum())
             # continue until every detector has crossed a boundary
-            for name in per_det:
-                errs = np.concatenate(per_det[name])[:, 0]
-                cum = np.cumsum(errs)
-                n = errs.size
-                if (n * bits_per_trial < spec.stopping.max_bits
-                        and cum[-1] <= spec.stopping.max_bit_errors):
-                    return False
-            return True
+            return all(trials[name] * bits_per_trial >= spec.stopping.max_bits
+                       or bit_errs[name] > spec.stopping.max_bit_errors
+                       for name in per_det)
 
         _run_blocks(_ber_block,
                     lambda i: (system, spec.detectors, snr, spec.seed, i * BLOCK, BLOCK),
@@ -234,26 +233,8 @@ def ber_csv(rows: list[BerPoint]) -> str:
 
 
 # --------------------------------------------------------------------------
-# paired trials (common random numbers), used by convergence and tests
+# paired trials (common random numbers)
 # --------------------------------------------------------------------------
-
-def _paired_block(args):
-    system, detectors, snr_db, seed, start, count, unit = args
-    constellation = build_constellation(system.mod_order)
-    out = {name: np.zeros(count, dtype=np.int64) for name in detectors}
-    for i in range(count):
-        trial = start + i
-        inst = generate_instance(system.n_ant, system.n_users, constellation,
-                                 snr_db, seed, trial)
-        true_bits = symbols_to_bits(inst.x_true, constellation)
-        for name, det in detectors.items():
-            x_hat = _detect_one(det.kind, det.config, system, constellation, inst, trial)
-            if unit == "bit":
-                out[name][i] = int(np.sum(symbols_to_bits(x_hat, constellation) != true_bits))
-            else:
-                out[name][i] = int(np.sum(x_hat != inst.x_true))
-    return out
-
 
 def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
                       snr_db: float, n_trials: int, seed: int = 0,
@@ -264,16 +245,17 @@ def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
     """
     if unit not in ("bit", "symbol"):
         raise ConfigError(f"unknown error unit {unit!r}")
+    column = 0 if unit == "bit" else 1
     collected = {name: [] for name in detectors}
     needed = math.ceil(n_trials / BLOCK)
 
     def stop(block_res):
         for name, arr in block_res.items():
-            collected[name].append(arr)
+            collected[name].append(arr[:, column])
         return len(collected[next(iter(collected))]) >= needed
 
-    _run_blocks(_paired_block,
-                lambda i: (system, detectors, snr_db, seed, i * BLOCK, BLOCK, unit),
+    _run_blocks(_ber_block,
+                lambda i: (system, detectors, snr_db, seed, i * BLOCK, BLOCK),
                 workers, stop)
     return {name: np.concatenate(parts)[:n_trials] for name, parts in collected.items()}
 
@@ -349,12 +331,16 @@ def run_convergence(system: SystemSpec, base_config: DetectorConfig, m_grid,
                              ber=float(errors[:, mi, si].sum()) / bits)
             for mi, m in enumerate(m_grid) for si, s in enumerate(s_grid)]
     if out_dir:
-        lines = ["m,S,snr_db,bits,bit_errors,ber"]
-        for r in rows:
-            lines.append(f"{r.batch_size},{r.sampling_iterations},{r.snr_db:g},"
-                         f"{r.bits},{r.bit_errors},{r.ber:.10g}")
-        _write(out_dir, "convergence.csv", "\n".join(lines) + "\n")
+        _write(out_dir, "convergence.csv", convergence_csv(rows))
     return rows, errors
+
+
+def convergence_csv(rows: list[ConvergencePoint]) -> str:
+    lines = ["m,S,snr_db,bits,bit_errors,ber"]
+    for r in rows:
+        lines.append(f"{r.batch_size},{r.sampling_iterations},{r.snr_db:g},"
+                     f"{r.bits},{r.bit_errors},{r.ber:.10g}")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -535,13 +521,17 @@ def run_complexity_report(base_system: SystemSpec, base_config: DetectorConfig,
     fits["du_vs_nag_iterations"] = {"slope": slope, "intercept": intercept, "r2": r2}
 
     if out_dir:
-        lines = ["B,U,C,Bc,m,S,Ng,du_mults_mean,du_mults_max,cu_mults"]
-        for r in rows:
-            lines.append(f"{r.n_ant},{r.n_users},{r.n_clusters},{r.block_rows},"
-                         f"{r.batch_size},{r.sampling_iterations},{r.nag_iterations},"
-                         f"{r.du_mults_mean:.10g},{r.du_mults_max},{r.cu_mults}")
-        _write(out_dir, "complexity.csv", "\n".join(lines) + "\n")
+        _write(out_dir, "complexity.csv", complexity_csv(rows))
     return rows, fits
+
+
+def complexity_csv(rows: list[ComplexityRow]) -> str:
+    lines = ["B,U,C,Bc,m,S,Ng,du_mults_mean,du_mults_max,cu_mults"]
+    for r in rows:
+        lines.append(f"{r.n_ant},{r.n_users},{r.n_clusters},{r.block_rows},"
+                     f"{r.batch_size},{r.sampling_iterations},{r.nag_iterations},"
+                     f"{r.du_mults_mean:.10g},{r.du_mults_max},{r.cu_mults}")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,9 @@ traversed link carries exactly one payload-sized message; aggregation
 always sums contributions in ascending unit index regardless of
 topology, which makes star and chain runs numerically identical.
 
-Unit data is only reachable through :meth:`Fabric.du_view`, which
-records the accessing unit; asking for another unit's cluster raises,
-so information locality is enforced rather than assumed.
+Each per-unit computation reads only its own unit's (H_c, y_c) through
+:meth:`Fabric.du_view`.  The same kernels serve the sampler and the
+exact diagnostics.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ClusteredChannel
-from .errors import ConfigError, LocalityError
+from .errors import ConfigError
 
 STAR = "star"
 DAISY_CHAIN = "daisy_chain"
@@ -169,7 +169,6 @@ class Fabric:
             raise ConfigError("topology unit count must match cluster count")
         self.ledger = ledger
         self.counters = counters
-        self.access_log: list[tuple[int, int]] = []
         self._all_units = tuple(range(clustered.n_clusters))
 
     @property
@@ -184,14 +183,10 @@ class Fabric:
     def clustered(self) -> ClusteredChannel:
         return self._cc
 
-    # ---- local data access (instrumented) --------------------------------
+    # ---- local data access -----------------------------------------------
 
-    def du_view(self, owner: int, accessor: int | None = None):
-        """(H_c, y_c) for unit ``owner``; only the owner may read it."""
-        accessor = owner if accessor is None else accessor
-        self.access_log.append((accessor, owner))
-        if accessor != owner:
-            raise LocalityError(f"unit {accessor} tried to read unit {owner}'s data")
+    def du_view(self, owner: int):
+        """(H_c, y_c) for unit ``owner``."""
         return self._cc.H_blocks[owner], self._cc.y_blocks[owner]
 
     # ---- per-unit computations -------------------------------------------
@@ -225,26 +220,27 @@ class Fabric:
 
     # ---- collective operations (charge the ledger) -------------------------
 
-    def _charge(self, links, direction, payload_class, units):
+    def _charge(self, route, units_reached, direction, payload_class, units):
+        """Charge ``units`` on every link of ``route(units_reached)``, if billed."""
         if self.ledger is not None:
-            for lk in links:
+            for lk in route(units_reached):
                 self.ledger.charge(lk, direction, payload_class, units)
 
     def broadcast_reals(self, units: int, dests) -> None:
         """Account a CU broadcast of ``units`` continuous reals to ``dests``."""
-        self._charge(self.topology.broadcast_links(dests), DOWN, REAL, units)
+        self._charge(self.topology.broadcast_links, dests, DOWN, REAL, units)
 
     def broadcast_symbols(self, n_symbols: int, dests=None) -> None:
         """Account a CU broadcast of a QAM symbol vector (default: all DUs)."""
         dests = self._all_units if dests is None else dests
-        self._charge(self.topology.broadcast_links(dests), DOWN, SYMBOL, n_symbols)
+        self._charge(self.topology.broadcast_links, dests, DOWN, SYMBOL, n_symbols)
 
     def collect_gram_diag_sum(self) -> np.ndarray:
         """Gram-diagonal upload: every unit contributes U scalars."""
         total = self.local_gram_diag(0).copy()
         for c in range(1, self.n_units):
             total += self.local_gram_diag(c)
-        self._charge(self.topology.upload_links(self._all_units), UP, SCALAR, self.n_users)
+        self._charge(self.topology.upload_links, self._all_units, UP, SCALAR, self.n_users)
         return total
 
     def gradient_sum(self, p: np.ndarray, batch) -> np.ndarray:
@@ -255,7 +251,7 @@ class Fabric:
         total = self.local_gradient(batch[0], p).copy()
         for c in batch[1:]:
             total += self.local_gradient(c, p)
-        self._charge(self.topology.upload_links(batch), UP, REAL, 2 * self.n_users)
+        self._charge(self.topology.upload_links, batch, UP, REAL, 2 * self.n_users)
         return total
 
     def objective_sum(self, x: np.ndarray) -> float:
@@ -263,7 +259,7 @@ class Fabric:
         total = self.local_objective(0, x)
         for c in range(1, self.n_units):
             total += self.local_objective(c, x)
-        self._charge(self.topology.upload_links(self._all_units), UP, SCALAR, 1)
+        self._charge(self.topology.upload_links, self._all_units, UP, SCALAR, 1)
         return total
 
 

@@ -89,9 +89,15 @@ def test_bandwidth_measured(capsys):
     code = main(["bandwidth", "--b-grid", "16", "--u", "4", "--c", "4", "--m", "2",
                  "--s", "2", "--ng", "2"])
     assert code == 0
-    for line in capsys.readouterr().out.strip().splitlines()[1:]:
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = [ln for ln in lines[1:] if not ln.startswith("#")]
+    assert len(rows) == 3  # centralized, mini_star, mini_chain at B=16
+    for line in rows:
         cols = line.split(",")
         assert cols[9] == cols[10]  # measured equals closed form
+    shares = [ln for ln in lines if ln.startswith("# ")]
+    assert shares == ["# mini_star share of centralized -> B=16: 105.0%",
+                      "# mini_chain share of centralized -> B=16: 46.2%"]
 
 
 def test_complexity_quick(capsys):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbpdet.channel import generate_instance, generate_rayleigh, partition
 from dbpdet.detectors import DetectorConfig, mini_nag_mcmc_detect
-from dbpdet.errors import ConfigError, LocalityError
+from dbpdet.errors import ConfigError
 from dbpdet.fabric import (DOWN, REAL, SCALAR, SYMBOL, UP, Fabric, MessageLedger,
                            OpCounters, Topology, batch_hessian, batch_hessian_norm,
                            centralized_transfer, predicted_bandwidth)
@@ -172,16 +174,23 @@ def test_broadcast_charges():
         assert chain_ledger.bits(link=link, payload_class=SYMBOL) == 3 * 4
 
 
-def test_locality_enforced_and_logged():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_unit_outputs_depend_only_on_own_data(unit, seed):
+    """Perturbing unit c's (H_c, y_c) changes unit c's outputs and no other's."""
     inst, fabric = _fabric()
-    with pytest.raises(LocalityError):
-        fabric.du_view(0, accessor=1)
-    fabric.access_log.clear()
-    const = build_constellation(16)
-    config = DetectorConfig(sampling_iterations=3, batch_size=2, seed=1)
-    mini_nag_mcmc_detect(inst, config, fabric, const)
-    assert fabric.access_log
-    assert all(accessor == owner for accessor, owner in fabric.access_log)
+    rng = np.random.default_rng(seed)
+    H, y = inst.H.copy(), inst.y.copy()
+    rows = slice(2 * unit, 2 * unit + 2)  # 8 antennas over 4 units
+    H[rows] += 0.1 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    y[rows] += 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    perturbed = Fabric(partition(H, y, 4))
+    p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    x = build_constellation(16).points[rng.integers(0, 16, 3)]
+    for c in range(4):
+        same_grad = np.array_equal(fabric.local_gradient(c, p), perturbed.local_gradient(c, p))
+        same_obj = fabric.local_objective(c, x) == perturbed.local_objective(c, x)
+        assert same_grad == same_obj == (c != unit)
 
 
 def test_predicted_bandwidth_worked_values():
