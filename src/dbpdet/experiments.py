@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fabric as fb
 from .channel import generate_instance, partition
-from .detectors import (DetectorConfig, lmmse_detect, mini_nag_mcmc_detect,
+from .detectors import (ML_CAP, DetectorConfig, lmmse_detect, mini_nag_mcmc_detect,
                         ml_brute_force, nag_mcmc_detect)
 from .errors import ConfigError, UsageError
 from .fabric import (Fabric, MessageLedger, OpCounters, Topology,
@@ -88,6 +88,11 @@ class ExperimentSpec:
             raise ConfigError("SNR grid must be nonempty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        order, n_users = self.system.mod_order, self.system.n_users
+        for name, det in self.detectors.items():
+            if det.kind == ML and order ** n_users > ML_CAP:
+                raise ConfigError(f"detector {name!r}: ML over {order}^{n_users} "
+                                  f"candidates exceeds the cap {ML_CAP}")
 
 
 # --------------------------------------------------------------------------

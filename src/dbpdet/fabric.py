@@ -163,31 +163,23 @@ class Fabric:
 
     def __init__(self, clustered: ClusteredChannel, topology: Topology | None = None,
                  ledger: MessageLedger | None = None, counters: OpCounters | None = None):
-        self._cc = clustered
+        self.clustered = clustered
         self.topology = topology or Topology(STAR, clustered.n_clusters)
         if self.topology.n_units != clustered.n_clusters:
             raise ConfigError("topology unit count must match cluster count")
         self.ledger = ledger
         self.counters = counters
-        self._all_units = tuple(range(clustered.n_clusters))
-
-    @property
-    def n_units(self) -> int:
-        return self._cc.n_clusters
-
-    @property
-    def n_users(self) -> int:
-        return self._cc.n_users
-
-    @property
-    def clustered(self) -> ClusteredChannel:
-        return self._cc
+        # fixed for the fabric's lifetime: read by every per-unit call
+        self.n_units = clustered.n_clusters
+        self.n_users = clustered.n_users
+        self._all_units = tuple(range(self.n_units))
+        self._views = tuple(zip(clustered.H_blocks, clustered.y_blocks))
 
     # ---- local data access -----------------------------------------------
 
     def du_view(self, owner: int):
         """(H_c, y_c) for unit ``owner``."""
-        return self._cc.H_blocks[owner], self._cc.y_blocks[owner]
+        return self._views[owner]
 
     # ---- per-unit computations -------------------------------------------
 

@@ -12,6 +12,7 @@ rule: the level with the smaller absolute value wins; at the origin the
 positive level wins.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ class Constellation:
         """Unnormalized integer levels (-(L-1), ..., -1, 1, ..., L-1)."""
         return np.arange(-(self.levels.size - 1), self.levels.size, 2)
 
+    @property
+    def points_int(self) -> np.ndarray:
+        """Unnormalized points (odd-integer coordinates) in ``points`` order."""
+        lv = self.levels_int
+        return (lv[:, None] + 1j * lv[None, :]).reshape(-1)
+
 
 def build_constellation(order: int) -> Constellation:
     """Build the normalized Gray-coded square QAM constellation."""
@@ -75,31 +82,35 @@ def build_constellation(order: int) -> Constellation:
     )
 
 
-def _axis_quantize(u: np.ndarray, n_axis: int) -> np.ndarray:
-    """Nearest integer-level index for scaled coordinates ``u``.
+@functools.lru_cache(maxsize=len(SUPPORTED_ORDERS))
+def _scan_table(n_axis: int):
+    """Integer levels in tie-break scan order and their ascending level indices.
 
-    Candidate levels are scanned in order of increasing absolute value
-    (positive before negative), so argmin's first-hit rule implements
-    the documented tie-break.
+    Levels are scanned in order of increasing absolute value (positive
+    before negative), so argmin's first-hit rule implements the
+    documented tie-break.  Cached per axis size, read-only.
     """
     levels = np.arange(-(n_axis - 1), n_axis, 2)
-    order = np.lexsort((levels < 0, np.abs(levels)))
-    cand = levels[order]
-    dist = np.abs(u[..., None] - cand)
-    pick = np.argmin(dist, axis=-1)
-    chosen = cand[pick]
-    return (chosen + n_axis - 1) // 2
+    cand = levels[np.lexsort((levels < 0, np.abs(levels)))]
+    index = (cand + n_axis - 1) // 2
+    cand.flags.writeable = index.flags.writeable = False
+    return cand, index
+
+
+def _axis_quantize(u: np.ndarray, n_axis: int) -> np.ndarray:
+    """Nearest integer-level index for scaled coordinates ``u``."""
+    cand, index = _scan_table(n_axis)
+    return index[np.argmin(np.abs(u[..., None] - cand), axis=-1)]
 
 
 def qam_map(z: np.ndarray, c: Constellation) -> np.ndarray:
     """Map each element of ``z`` to its nearest constellation point."""
     z = np.asarray(z, dtype=np.complex128)
-    if not (np.all(np.isfinite(z.real)) and np.all(np.isfinite(z.imag))):
+    if not np.isfinite(z).all():
         raise NumericInputError("qam_map input contains non-finite values")
     n_axis = c.levels.size
-    i_re = _axis_quantize(z.real * c.normalizer, n_axis)
-    i_im = _axis_quantize(z.imag * c.normalizer, n_axis)
-    return c.levels[i_re] + 1j * c.levels[i_im]
+    i_re, i_im = _axis_quantize(np.stack((z.real, z.imag)) * c.normalizer, n_axis)
+    return c.points[i_re * n_axis + i_im]
 
 
 def _symbol_axis_indices(x: np.ndarray, c: Constellation, tol: float = 1e-9):

@@ -49,6 +49,18 @@ def test_validate_config_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ml_over_cap_rejected_at_parse(tmp_path, capsys):
+    path = tmp_path / "ml.ini"
+    path.write_text(CONFIG.replace("n_users = 2", "n_users = 6").replace("mod_order = 4",
+                                                                       "mod_order = 16")
+                    + "\n[detector:ml]\nkind = ml\n")
+    for argv in (["validate-config", "--config", str(path)],
+                 ["ber", "--config", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert "16^6 candidates exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbpdet.channel import MimoInstance, generate_instance, generate_rayleigh, partition
 from dbpdet.detectors import (DetectorConfig, learning_rate, lmmse_detect,
@@ -14,7 +17,7 @@ from dbpdet.detectors import (DetectorConfig, learning_rate, lmmse_detect,
 from dbpdet.errors import (CapacityError, ConfigError, DegenerateChannelError,
                            NumericInputError)
 from dbpdet.fabric import Fabric, MessageLedger, Topology
-from dbpdet.modem import build_constellation, qam_map
+from dbpdet.modem import build_constellation, qam_map, symbol_indices
 
 C16 = build_constellation(16)
 C4 = build_constellation(4)
@@ -317,6 +320,95 @@ def test_ml_capacity_cap():
     inst = generate_instance(16, 6, C16, 9.0, 21)
     with pytest.raises(CapacityError):
         ml_brute_force(inst, C16, cap=2 ** 20)
+
+
+def test_ml_cap_raises_before_allocating():
+    inst = generate_instance(64, 12, C16, 9.0, 21)  # 16^12 candidates
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            ml_brute_force(inst, C16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # H^H alone would take 12 KiB, the Gram 2.3 KiB, a half-lattice far more
+    assert peak < 2048
+
+
+def _lattice_index_rows(order, n_users):
+    """Symbol indices of every lattice vector, lexicographic order."""
+    return np.indices((order,) * n_users).reshape(n_users, -1).T
+
+
+def _dense_ml(inst, const):
+    """Reference: score every lattice vector with one dense einsum."""
+    cand = const.points[_lattice_index_rows(const.order, inst.n_users)]
+    gram = inst.H.conj().T @ inst.H
+    v = inst.H.conj().T @ inst.y
+    quad = np.einsum("nu,nu->n", cand.conj(), cand @ gram.T).real
+    lin = (cand @ v.conj()).real
+    return cand[int(np.argmin(quad - 2.0 * lin))].copy()
+
+
+def _lex_index(x, const):
+    digits = symbol_indices(x, const)
+    return int(sum(int(d) * const.order ** (x.size - 1 - u) for u, d in enumerate(digits)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(1, 5), order=st.sampled_from([4, 16]),
+       seed=st.integers(0, 2 ** 31 - 1), snr_db=st.floats(-5.0, 30.0))
+def test_ml_split_matches_dense_reference(n_users, order, seed, snr_db):
+    const = build_constellation(order)
+    inst = generate_instance(n_users + 2, n_users, const, snr_db, seed)
+    got = ml_brute_force(inst, const)
+    assert _lex_index(got, const) == _lex_index(_dense_ml(inst, const), const)
+
+
+def _exact_ties(H_int, const):
+    """Every lattice index minimizing ||H x||^2 (y = 0), in exact integer arithmetic."""
+    levels = np.rint(const.points * const.normalizer).astype(np.complex128)
+    x = levels[_lattice_index_rows(const.order, H_int.shape[1])]
+    xr, xi = x.real.astype(np.int64), x.imag.astype(np.int64)
+    hr, hi = H_int.real.astype(np.int64), H_int.imag.astype(np.int64)
+    rr = xr @ hr.T - xi @ hi.T
+    ri = xr @ hi.T + xi @ hr.T
+    score = (rr * rr + ri * ri).sum(axis=1)
+    return np.flatnonzero(score == score.min())
+
+
+def _zero_y_instance(H):
+    n_ant, n_users = H.shape
+    return MimoInstance(H=H, x_true=np.zeros(n_users, complex), n=np.zeros(n_ant, complex),
+                        y=np.zeros(n_ant, complex), sigma2=0.0, snr_linear=math.inf)
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("columns", [
+    [[1, 2, 1j], [1, 2, 1j]],                  # repeated column, U = 2
+    [[1 + 1j, -2], [1 + 1j, -2], [1 + 1j, -2]],  # three equal columns
+    [[1, 0, 2], [1, 0, 2], [0, 3j, 1]],          # two equal columns of three
+    [[2, 1], [1, -1j], [1, -1j], [2, 1]],        # U = 4, two repeated pairs
+])
+def test_ml_exact_ties_go_to_smallest_index(order, columns):
+    const = build_constellation(order)
+    H = np.array(columns, dtype=np.complex128).T
+    ties = _exact_ties(H, const)
+    assert ties.size > 1
+    assert _lex_index(ml_brute_force(_zero_y_instance(H), const), const) == ties[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_users=st.integers(1, 4), order=st.sampled_from([4, 16]),
+       entries=st.lists(st.integers(-3, 3), min_size=2 * 6 * 4, max_size=2 * 6 * 4))
+def test_ml_integer_channel_ties_go_to_smallest_index(n_users, order, entries):
+    if order == 16:
+        n_users = min(n_users, 3)
+    e = np.array(entries, dtype=float).reshape(2, 6, 4)
+    H = (e[0] + 1j * e[1])[:, :n_users]
+    const = build_constellation(order)
+    ties = _exact_ties(H, const)  # y = 0: x, -x, jx and -jx always tie
+    assert _lex_index(ml_brute_force(_zero_y_instance(H), const), const) == ties[0]
 
 
 def test_trace_csv_schema():

@@ -309,3 +309,6 @@ def test_invalid_specs():
     with pytest.raises(ConfigError):
         ExperimentSpec(system=SMALL, detectors={"ml": DetectorSpec(ML)},
                        snr_db=(5.0,), workers=0)
+    with pytest.raises(ConfigError, match="exceeds the cap"):
+        ExperimentSpec(system=SystemSpec(16, 6, 2, 16), detectors={"ml": DetectorSpec(ML)},
+                       snr_db=(5.0,))

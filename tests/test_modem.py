@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbpdet.errors import ConfigError, MappingError, NumericInputError
-from dbpdet.modem import (SUPPORTED_ORDERS, bits_to_symbols, build_constellation,
-                          constellation_csv, gray_table_csv, qam_map,
-                          symbol_indices, symbols_to_bits)
+from dbpdet.modem import (SUPPORTED_ORDERS, _axis_quantize, bits_to_symbols,
+                          build_constellation, constellation_csv, gray_table_csv,
+                          qam_map, symbol_indices, symbols_to_bits)
 
 S10 = np.sqrt(10.0)
 
@@ -79,6 +79,50 @@ def test_qam_map_rejects_non_finite():
         qam_map(np.array([np.nan + 0j]), c)
     with pytest.raises(NumericInputError):
         qam_map(np.array([np.inf * 1j]), c)
+
+
+def _scan_quantize(u, n_axis):
+    """Reference: build the tie-ordered level list on every call and scan it."""
+    levels = np.arange(-(n_axis - 1), n_axis, 2)
+    cand = levels[np.lexsort((levels < 0, np.abs(levels)))]
+    chosen = cand[np.argmin(np.abs(u[..., None] - cand), axis=-1)]
+    return (chosen + n_axis - 1) // 2
+
+
+def _scan_qam_map(z, c):
+    n_axis = c.levels.size
+    i_re = _scan_quantize(z.real * c.normalizer, n_axis)
+    i_im = _scan_quantize(z.imag * c.normalizer, n_axis)
+    return c.levels[i_re] + 1j * c.levels[i_im]
+
+
+def _exactly_scaled(k, normalizer):
+    """A float z with z * normalizer == k exactly, if one is next to k / normalizer."""
+    z = k / normalizer
+    for _ in range(4):
+        if z * normalizer == k:
+            return z
+        z = np.nextafter(z, np.inf if z * normalizer < k else -np.inf)
+    return None
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_qam_map_matches_scan_reference(order):
+    c = build_constellation(order)
+    n_axis = c.levels.size
+    # every exact midpoint between integer levels, 0, and points beyond the edges
+    scaled = np.arange(-(n_axis + 2), n_axis + 3, dtype=float)
+    assert np.array_equal(_axis_quantize(scaled, n_axis), _scan_quantize(scaled, n_axis))
+    axis = [z for z in (_exactly_scaled(k, c.normalizer) for k in scaled) if z is not None]
+    assert 0.0 in axis and len(axis) > n_axis
+    axis = np.array(axis)
+    grid = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+    rng = np.random.default_rng(order)
+    noise = 1.5 * (rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8)))
+    for z in (grid, noise, noise[0], np.zeros(3, complex)):
+        got = qam_map(z, c)
+        assert got.shape == z.shape
+        assert np.array_equal(got, _scan_qam_map(z, c))
 
 
 @settings(max_examples=200, deadline=None)
