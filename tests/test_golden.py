@@ -13,7 +13,7 @@ import pytest
 
 from dbpdet.channel import generate_instance, partition
 from dbpdet.cli import main
-from dbpdet.detectors import DetectorConfig, mini_nag_mcmc_detect, trace_csv
+from dbpdet.detectors import DetectorConfig, mini_nag_mcmc_detect, nag_mcmc_detect, trace_csv
 from dbpdet.fabric import DAISY_CHAIN, Fabric, MessageLedger, OpCounters, Topology
 from dbpdet.modem import build_constellation
 
@@ -75,6 +75,8 @@ DIGESTS = {
         "49c3c906a4260026d032bfde7b62c107fae1d7e870597d6730af8c602bef1fa5",
     "detection-daisy-chain":
         "56be5defec88ecbd98b68cbb8e75e54f4b79842b796926765ffbbe5380d63a36",
+    "detection-centralized":
+        "5435a421421aa4cb3b027c6672b80f887f641d4fb599f71c9efaaa093e75c5a0",
 }
 
 DIAGNOSE_VERDICTS = [
@@ -131,6 +133,17 @@ def _detection_text():
     return text
 
 
+def _centralized_text():
+    """Trace and decision of one seeded centralized detection."""
+    const = build_constellation(16)
+    inst = generate_instance(32, 8, const, snr_db=6.0, master_seed=11, trial=4)
+    config = DetectorConfig(sampling_iterations=10, seed=11)
+    result = nag_mcmc_detect(inst, config, const, clusters=8, trial=4)
+    decision = ",".join(f"{v.real!r}:{v.imag!r}" for v in result.x_hat)
+    return "\n".join([trace_csv(result.records), decision, repr(result.f_hat),
+                      repr(result.tau)])
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_digest(case, tmp_path, capsys):
     text, stdout = _cli_output(case, tmp_path, capsys)
@@ -142,6 +155,10 @@ def test_cli_output_digest(case, tmp_path, capsys):
 
 def test_detection_digest():
     assert _sha256(_detection_text()) == DIGESTS["detection-daisy-chain"]
+
+
+def test_centralized_detection_digest():
+    assert _sha256(_centralized_text()) == DIGESTS["detection-centralized"]
 
 
 @pytest.mark.parametrize("fault", [None, "acceptance"])
