@@ -7,7 +7,7 @@ statistics E||Hx||^2 = U and E||n||^2 = B sigma2, so a target linear SNR
 fixes sigma2 = U / (B * snr) in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +38,10 @@ class MimoInstance:
 
 @dataclass(frozen=True)
 class ClusteredChannel:
-    """Row-partition of (H, y) into equal per-unit views.
-
-    ``gram_diags[c, u]`` caches ||h_{u,c}||^2, the unit's share of the
-    global Gram diagonal; summing over units recovers diag(H^H H).
-    """
+    """Row-partition of (H, y) into equal per-unit views."""
 
     H_blocks: np.ndarray      # (C, B_c, U)
     y_blocks: np.ndarray      # (C, B_c)
-    gram_diags: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        d = np.einsum("cbu,cbu->cu", self.H_blocks.conj(), self.H_blocks).real
-        object.__setattr__(self, "gram_diags", d)
 
     @property
     def n_clusters(self) -> int:

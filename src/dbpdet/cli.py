@@ -204,18 +204,23 @@ _COMMANDS = {
 }
 
 
+def _message(exc: Exception) -> str:
+    """The exception text plus its notes, such as the block and trial that failed."""
+    return str(exc) + "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {_message(exc)}\n")
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 2
-        sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")
+        sys.stderr.write(f"runtime error: {type(exc).__name__}: {_message(exc)}\n")
         return 2
 
 

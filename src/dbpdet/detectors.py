@@ -9,16 +9,16 @@ alpha = min{1, exp(2 f(x_prev) - 2 f(x_cand))} with the 1/2-norm
 objective convention, and the reported decision is the stored sample
 with the smallest objective (earliest on ties).
 
-The centralized variant is the exact m = C special case: it performs the
-same arithmetic (per-cluster gradients summed in ascending unit order)
-but selects no batches and charges no ledger, so with shared walk and
-acceptance streams its decisions are bit-identical to the mini-batch
-sampler at m = C.
+The centralized detector is the m = C run of the same sampler on a
+ledger-less star fabric: every unit is in every batch, so no batch is
+drawn, and the walk and acceptance streams are shared, which makes its
+decisions bit-identical to the mini-batch sampler at m = C by
+construction.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import fabric as fb
 from . import rng as rngmod
 from .channel import MimoInstance, partition
 from .errors import CapacityError, ConfigError, DegenerateChannelError, NumericInputError
-from .fabric import Fabric, MessageLedger, OpCounters, Topology
+from .fabric import Fabric
 from .modem import Constellation, build_constellation, qam_map
 
 EXACT_GRAM_FNORM = "exact_gram_fnorm"
@@ -88,8 +88,6 @@ class DetectionResult:
     f_hat: float
     records: list[SampleRecord]
     tau: float
-    ledger: MessageLedger | None = None
-    counters: OpCounters | None = None
 
 
 def momentum_schedule(n_iterations: int) -> np.ndarray:
@@ -113,21 +111,19 @@ def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
     mode's step because dropping off-diagonal entries can only shrink
     the Frobenius norm.
     """
+    return _learning_rate(Fabric(clustered), mode)
+
+
+def _learning_rate(fabric: Fabric, mode: str) -> float:
+    """:func:`learning_rate` of the fabric; the Gram-diagonal upload happens in either mode."""
+    diag_sum = fabric.collect_gram_diag_sum()
     if mode == EXACT_GRAM_FNORM:
-        n_units = clustered.n_clusters
-        gram = fb.batch_hessian(clustered, range(n_units), n_units)
-        return _inverse_norm(float(np.linalg.norm(gram, "fro")))
-    if mode == DIAG_APPROX:
-        return _diag_learning_rate(clustered.gram_diags.sum(axis=0))
-    raise ConfigError(f"unknown lr_mode {mode!r}")
-
-
-def _diag_learning_rate(diag_sum: np.ndarray) -> float:
-    """Inverse Euclidean norm of the summed Gram diagonal."""
-    return _inverse_norm(float(np.sqrt(np.sum(diag_sum * diag_sum))))
-
-
-def _inverse_norm(norm: float) -> float:
+        gram = fb.batch_hessian(fabric.clustered, range(fabric.n_units), fabric.n_units)
+        norm = float(np.linalg.norm(gram, "fro"))
+    elif mode == DIAG_APPROX:
+        norm = float(np.sqrt(np.sum(diag_sum * diag_sum)))
+    else:
+        raise ConfigError(f"unknown lr_mode {mode!r}")
     if norm == 0.0:
         raise DegenerateChannelError("all-zero channel has no usable learning rate")
     return 1.0 / norm
@@ -166,24 +162,24 @@ def nag_stage(x_prev: np.ndarray, config: DetectorConfig, fabric: Fabric, tau: f
               rng_batch: np.random.Generator | None, rho: np.ndarray | None = None) -> np.ndarray:
     """Momentum-accelerated descent from x_prev; returns the final iterate.
 
-    ``rng_batch=None`` runs full-batch (every unit contributes each
-    iteration and no selection randomness is consumed).
+    Each iteration draws a sorted batch of ``config.batch_size`` units
+    from ``rng_batch``.  At m = C every unit contributes and nothing is
+    drawn, so ``rng_batch`` may then be None.
     """
     if rho is None:
         rho = momentum_schedule(config.nag_iterations)
     n_units = fabric.n_units
-    m = n_units if rng_batch is None else config.batch_size
+    m = config.batch_size
+    every_unit = tuple(range(n_units)) if m == n_units else None
+    if every_unit is None and rng_batch is None:
+        raise ConfigError(f"batch_size {m} of {n_units} units needs a batch generator")
     step = tau * (n_units / m)
-    full = tuple(range(n_units))
     z = x_prev.astype(np.complex128)
     dz = np.zeros(fabric.n_users, dtype=np.complex128)
     counters = fabric.counters
     for k in range(config.nag_iterations):
         p_k = z + rho[k] * dz
-        if rng_batch is None:
-            batch = full
-        else:
-            batch = np.sort(rng_batch.choice(n_units, size=m, replace=False))
+        batch = every_unit or np.sort(rng_batch.choice(n_units, size=m, replace=False))
         fabric.broadcast_reals(2 * fabric.n_users, batch)
         g = fabric.gradient_sum(p_k, batch)
         z_new = p_k - step * g
@@ -204,7 +200,7 @@ def _chain_rngs(seed: int, trial: int, sampler: int):
 
 def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellation,
                tau: float, x0: np.ndarray, f0: float, rho: np.ndarray,
-               rngs, full_batch: bool, sampler: int) -> list[SampleRecord]:
+               rngs, sampler: int) -> list[SampleRecord]:
     rng_batch, rng_walk, rng_mh = rngs
     counters = fabric.counters
     n_users = fabric.n_users
@@ -212,8 +208,7 @@ def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellat
     x_prev, f_prev, f_best = x0, f0, f0
     records: list[SampleRecord] = []
     for t in range(1, config.sampling_iterations + 1):
-        z = nag_stage(x_prev, config, fabric, tau,
-                      None if full_batch else rng_batch, rho)
+        z = nag_stage(x_prev, config, fabric, tau, rng_batch, rho)
         cand = propose_candidate(z, config.walk_step, constellation, rng_walk)
         fabric.broadcast_symbols(n_users)
         f_cand = fabric.objective_sum(cand)
@@ -231,22 +226,16 @@ def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellat
 
 
 def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
-            constellation: Constellation, trial: int, full_batch: bool,
+            constellation: Constellation, trial: int,
             x0: np.ndarray | None) -> DetectionResult:
     n_units, n_users = fabric.n_units, fabric.n_users
     if instance.H.shape != (n_units * fabric.clustered.block_rows, n_users):
         raise ConfigError("fabric does not match the instance dimensions")
-    if not full_batch:
-        if config.batch_size > n_units or n_units % config.batch_size != 0:
-            raise ConfigError(
-                f"batch_size {config.batch_size} must divide cluster count {n_units}")
+    if config.batch_size > n_units or n_units % config.batch_size != 0:
+        raise ConfigError(f"batch_size {config.batch_size} must divide cluster count {n_units}")
 
     # preprocessing: gram-diagonal upload, learning rate, initial sample
-    diag_sum = fabric.collect_gram_diag_sum()
-    if config.lr_mode == DIAG_APPROX:
-        tau = _diag_learning_rate(diag_sum)
-    else:
-        tau = learning_rate(fabric.clustered, config.lr_mode)
+    tau = _learning_rate(fabric, config.lr_mode)
     if fabric.counters is not None:
         fabric.counters.add_cu("preprocessing", n_users + 2)
     if x0 is None:
@@ -262,32 +251,33 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
                             accepted=True, f_best=f0, sampler=0)]
     for p in range(config.samplers):
         records.extend(_run_chain(fabric, config, constellation, tau, x0, f0, rho,
-                                  _chain_rngs(config.seed, trial, p), full_batch, p))
+                                  _chain_rngs(config.seed, trial, p), p))
 
     best = min(range(len(records)), key=lambda i: records[i].f)
     return DetectionResult(x_hat=records[best].x, f_hat=records[best].f, records=records,
-                           tau=tau, ledger=fabric.ledger, counters=fabric.counters)
+                           tau=tau)
 
 
 def mini_nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
                          constellation: Constellation, trial: int = 0,
                          x0: np.ndarray | None = None) -> DetectionResult:
     """Run the decentralized mini-batch sampler on a prepared fabric."""
-    return _detect(instance, config, fabric, constellation, trial, full_batch=False, x0=x0)
+    return _detect(instance, config, fabric, constellation, trial, x0)
 
 
 def nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig,
                     constellation: Constellation, clusters: int = 1, trial: int = 0,
                     x0: np.ndarray | None = None) -> DetectionResult:
-    """Centralized full-gradient sampler (the exact m = C special case).
+    """Centralized full-gradient sampler: the m = C run of the mini-batch sampler.
 
     ``clusters`` only fixes the gradient summation blocking; pass the
     mini-batch run's cluster count to reproduce its arithmetic exactly.
-    No ledger is attached: the centralized scheme has no fabric to bill.
+    ``config.batch_size`` is replaced by ``clusters``.  No ledger is
+    attached: the centralized scheme has no fabric to bill.
     """
-    fabric = Fabric(partition(instance.H, instance.y, clusters),
-                    Topology(fb.STAR, clusters))
-    return _detect(instance, config, fabric, constellation, trial, full_batch=True, x0=x0)
+    fabric = Fabric(partition(instance.H, instance.y, clusters))
+    return _detect(instance, replace(config, batch_size=clusters), fabric, constellation,
+                   trial, x0)
 
 
 def lmmse_estimate(instance: MimoInstance) -> np.ndarray:

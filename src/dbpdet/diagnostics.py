@@ -67,30 +67,46 @@ def log_proposal_row(clustered: ClusteredChannel, x: np.ndarray, batch,
     return logits - (peak + math.log(np.exp(logits - peak).sum()))
 
 
+def _lattice_index(x: np.ndarray, constellation: Constellation) -> int:
+    """Lexicographic lattice index of x; MappingError off the lattice."""
+    powers = constellation.order ** np.arange(x.shape[0] - 1, -1, -1)
+    return int(np.dot(symbol_indices(x, constellation), powers))
+
+
+def _log_proposals(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
+                   batch, batch_size: int, gamma: float, tau: float,
+                   constellation: Constellation, cap: int):
+    """(states, i, j, log q(x' | x), log q(x | x')) for one mini-batch realization.
+
+    ``i`` and ``j`` are the lattice indices of x and x' in ``states``.
+    """
+    states = lattice_states(constellation, x.shape[0], cap)
+    i = _lattice_index(x, constellation)
+    j = _lattice_index(x_prime, constellation)
+    fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
+    bwd = log_proposal_row(clustered, x_prime, batch, batch_size, gamma, tau, states)[i]
+    return states, i, j, fwd, bwd
+
+
 def proposal_probability(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                          batch, batch_size: int, gamma: float, tau: float,
                          constellation: Constellation, cap: int = ENUM_CAP) -> float:
     """Exact discrete proposal probability q(x' | x); 0 off the lattice."""
     states = lattice_states(constellation, x.shape[0], cap)
     try:
-        j = symbol_indices(x_prime, constellation)
+        j = _lattice_index(x_prime, constellation)
     except MappingError:
         return 0.0
-    idx = int(np.dot(j, constellation.order ** np.arange(x.shape[0] - 1, -1, -1)))
     row = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)
-    return float(np.exp(row[idx]))
+    return float(np.exp(row[j]))
 
 
 def proposal_ratio(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                    batch, batch_size: int, gamma: float, tau: float,
                    constellation: Constellation, cap: int = ENUM_CAP) -> float:
     """q(x | x') / q(x' | x), evaluated in log space for stability."""
-    states = lattice_states(constellation, x.shape[0], cap)
-    powers = constellation.order ** np.arange(x.shape[0] - 1, -1, -1)
-    i = int(np.dot(symbol_indices(x, constellation), powers))
-    j = int(np.dot(symbol_indices(x_prime, constellation), powers))
-    fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
-    bwd = log_proposal_row(clustered, x_prime, batch, batch_size, gamma, tau, states)[i]
+    *_, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size, gamma, tau,
+                                  constellation, cap)
     return float(np.exp(bwd - fwd))
 
 
@@ -102,15 +118,11 @@ def exact_mh_acceptance(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.
     The exact criterion keeps the proposal ratio; the implemented one
     omits it and uses only the posterior ratio.
     """
-    states = lattice_states(constellation, x.shape[0], cap)
-    powers = constellation.order ** np.arange(x.shape[0] - 1, -1, -1)
-    i = int(np.dot(symbol_indices(x, constellation), powers))
-    j = int(np.dot(symbol_indices(x_prime, constellation), powers))
-    logpi = _log_posterior(clustered, states)
-    fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
-    bwd = log_proposal_row(clustered, x_prime, batch, batch_size, gamma, tau, states)[i]
-    alpha_exact = math.exp(min(0.0, logpi[j] - logpi[i] + bwd - fwd))
-    alpha_implemented = math.exp(min(0.0, logpi[j] - logpi[i]))
+    states, i, j, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size,
+                                            gamma, tau, constellation, cap)
+    logpi_i, logpi_j = _log_posterior(clustered, states[[i, j]])
+    alpha_exact = math.exp(min(0.0, logpi_j - logpi_i + bwd - fwd))
+    alpha_implemented = math.exp(min(0.0, logpi_j - logpi_i))
     return alpha_exact, alpha_implemented
 
 

@@ -10,6 +10,7 @@ random numbers) to make paired comparisons cheap.
 """
 
 import configparser
+import contextlib
 import math
 import multiprocessing
 import os
@@ -114,45 +115,64 @@ def _detect_one(kind, config, system, constellation, instance, trial):
     raise ConfigError(f"unknown detector kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _locating(block: int, trial: int):
+    """Note the block and trial on any exception raised inside."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"in block {block}, trial {trial}")
+        raise
+
+
 def _ber_block(args):
-    system, detectors, snr_db, seed, start, count = args
+    system, detectors, snr_db, seed, block = args
     constellation = build_constellation(system.mod_order)
-    out = {name: np.zeros((count, 2), dtype=np.int64) for name in detectors}
-    for i in range(count):
-        trial = start + i
-        inst = generate_instance(system.n_ant, system.n_users, constellation,
-                                 snr_db, seed, trial)
-        true_bits = symbols_to_bits(inst.x_true, constellation)
-        for name, det in detectors.items():
-            x_hat = _detect_one(det.kind, det.config, system, constellation, inst, trial)
-            bits = symbols_to_bits(x_hat, constellation)
-            out[name][i, 0] = int(np.sum(bits != true_bits))
-            out[name][i, 1] = int(np.sum(x_hat != inst.x_true))
+    out = {name: np.zeros((BLOCK, 2), dtype=np.int64) for name in detectors}
+    for i in range(BLOCK):
+        trial = block * BLOCK + i
+        with _locating(block, trial):
+            inst = generate_instance(system.n_ant, system.n_users, constellation,
+                                     snr_db, seed, trial)
+            true_bits = symbols_to_bits(inst.x_true, constellation)
+            for name, det in detectors.items():
+                x_hat = _detect_one(det.kind, det.config, system, constellation, inst, trial)
+                bits = symbols_to_bits(x_hat, constellation)
+                out[name][i, 0] = int(np.sum(bits != true_bits))
+                out[name][i, 1] = int(np.sum(x_hat != inst.x_true))
     return out
 
 
-def _run_blocks(worker_fn, make_args, workers, stop_fn):
-    """Feed fixed-size blocks to a pool; stop when ``stop_fn`` says so.
+def _run_blocks(worker_fn, args, workers, stop_fn):
+    """Feed blocks 0, 1, ... to ``worker_fn((*args, block))``; stop when ``stop_fn`` says so.
 
     Blocks are consumed strictly in index order, so scheduling and
     worker count never affect which trials contribute.
     """
-    block_idx = 0
     if workers <= 1:
-        while True:
-            res = worker_fn(make_args(block_idx))
-            block_idx += 1
-            if stop_fn(res):
-                return
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        pending = [pool.apply_async(worker_fn, (make_args(i),)) for i in range(workers)]
-        block_idx = workers
-        while True:
-            res = pending.pop(0).get()
-            if stop_fn(res):
-                return
-            pending.append(pool.apply_async(worker_fn, (make_args(block_idx),)))
-            block_idx += 1
+        block = 0
+        while not stop_fn(worker_fn((*args, block))):
+            block += 1
+        return
+    with multiprocessing.Pool(workers) as pool:
+        pending = [pool.apply_async(worker_fn, ((*args, i),)) for i in range(workers)]
+        block = workers
+        while not stop_fn(pending.pop(0).get()):
+            pending.append(pool.apply_async(worker_fn, ((*args, block),)))
+            block += 1
+
+
+def _first_blocks(worker_fn, args, workers, n_trials):
+    """Results of blocks 0 .. ceil(n_trials / BLOCK) - 1, in block order."""
+    collected = []
+    needed = math.ceil(n_trials / BLOCK)
+
+    def stop(block_res):
+        collected.append(block_res)
+        return len(collected) >= needed
+
+    _run_blocks(worker_fn, args, workers, stop)
+    return collected
 
 
 def wilson_interval(errors: int, total: int, z: float = 1.96):
@@ -204,9 +224,7 @@ def run_ber_sweep(spec: ExperimentSpec) -> list[BerPoint]:
                        or bit_errs[name] > spec.stopping.max_bit_errors
                        for name in per_det)
 
-        _run_blocks(_ber_block,
-                    lambda i: (system, spec.detectors, snr, spec.seed, i * BLOCK, BLOCK),
-                    spec.workers, stop)
+        _run_blocks(_ber_block, (system, spec.detectors, snr, spec.seed), spec.workers, stop)
 
         for name in spec.detectors:
             arr = np.concatenate(per_det[name])
@@ -251,18 +269,9 @@ def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
     if unit not in ("bit", "symbol"):
         raise ConfigError(f"unknown error unit {unit!r}")
     column = 0 if unit == "bit" else 1
-    collected = {name: [] for name in detectors}
-    needed = math.ceil(n_trials / BLOCK)
-
-    def stop(block_res):
-        for name, arr in block_res.items():
-            collected[name].append(arr[:, column])
-        return len(collected[next(iter(collected))]) >= needed
-
-    _run_blocks(_ber_block,
-                lambda i: (system, detectors, snr_db, seed, i * BLOCK, BLOCK),
-                workers, stop)
-    return {name: np.concatenate(parts)[:n_trials] for name, parts in collected.items()}
+    blocks = _first_blocks(_ber_block, (system, detectors, snr_db, seed), workers, n_trials)
+    return {name: np.concatenate([b[name][:, column] for b in blocks])[:n_trials]
+            for name in detectors}
 
 
 # --------------------------------------------------------------------------
@@ -270,29 +279,30 @@ def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
 # --------------------------------------------------------------------------
 
 def _convergence_block(args):
-    system, base_config, m_grid, s_grid, snr_db, seed, start, count = args
+    system, base_config, m_grid, s_grid, snr_db, seed, block = args
     constellation = build_constellation(system.mod_order)
     s_max = max(s_grid)
-    out = np.zeros((count, len(m_grid), len(s_grid)), dtype=np.int64)
-    for i in range(count):
-        trial = start + i
-        inst = generate_instance(system.n_ant, system.n_users, constellation,
-                                 snr_db, seed, trial)
-        true_bits = symbols_to_bits(inst.x_true, constellation)
-        for mi, m in enumerate(m_grid):
-            config = replace(base_config, batch_size=m, sampling_iterations=s_max)
-            fabric = Fabric(partition(inst.H, inst.y, system.n_clusters),
-                            Topology(config.topology, system.n_clusters))
-            result = mini_nag_mcmc_detect(inst, config, fabric, constellation, trial=trial)
-            best_f = math.inf
-            best_x = None
-            s_pos = {s: k for k, s in enumerate(s_grid)}
-            for rec in result.records:  # in-order: t = 0, 1, ..., s_max
-                if rec.f < best_f:
-                    best_f, best_x = rec.f, rec.x
-                if rec.t in s_pos:
-                    bits = symbols_to_bits(best_x, constellation)
-                    out[i, mi, s_pos[rec.t]] = int(np.sum(bits != true_bits))
+    out = np.zeros((BLOCK, len(m_grid), len(s_grid)), dtype=np.int64)
+    for i in range(BLOCK):
+        trial = block * BLOCK + i
+        with _locating(block, trial):
+            inst = generate_instance(system.n_ant, system.n_users, constellation,
+                                     snr_db, seed, trial)
+            true_bits = symbols_to_bits(inst.x_true, constellation)
+            for mi, m in enumerate(m_grid):
+                config = replace(base_config, batch_size=m, sampling_iterations=s_max)
+                fabric = Fabric(partition(inst.H, inst.y, system.n_clusters),
+                                Topology(config.topology, system.n_clusters))
+                result = mini_nag_mcmc_detect(inst, config, fabric, constellation, trial=trial)
+                best_f = math.inf
+                best_x = None
+                s_pos = {s: k for k, s in enumerate(s_grid)}
+                for rec in result.records:  # in-order: t = 0, 1, ..., s_max
+                    if rec.f < best_f:
+                        best_f, best_x = rec.f, rec.x
+                    if rec.t in s_pos:
+                        bits = symbols_to_bits(best_x, constellation)
+                        out[i, mi, s_pos[rec.t]] = int(np.sum(bits != true_bits))
     return out
 
 
@@ -318,18 +328,10 @@ def run_convergence(system: SystemSpec, base_config: DetectorConfig, m_grid,
     grid (common random numbers).
     """
     m_grid, s_grid = list(m_grid), sorted(s_grid)
-    collected = []
-    needed = math.ceil(n_trials / BLOCK)
-
-    def stop(block_res):
-        collected.append(block_res)
-        return len(collected) >= needed
-
-    _run_blocks(_convergence_block,
-                lambda i: (system, base_config, m_grid, s_grid, snr_db, seed,
-                           i * BLOCK, BLOCK),
-                workers, stop)
-    errors = np.concatenate(collected)[:n_trials]  # (trials, m, s)
+    blocks = _first_blocks(_convergence_block,
+                           (system, base_config, m_grid, s_grid, snr_db, seed),
+                           workers, n_trials)
+    errors = np.concatenate(blocks)[:n_trials]  # (trials, m, s)
     bits = n_trials * system.bits_per_vector
     rows = [ConvergencePoint(batch_size=m, sampling_iterations=s, snr_db=snr_db,
                              bits=bits, bit_errors=int(errors[:, mi, si].sum()),
@@ -367,19 +369,28 @@ class BandwidthRow:
     measured_bits: int | None
 
 
+def _seeded_detection(system: SystemSpec, config: DetectorConfig, seed: int,
+                      ledger: MessageLedger | None = None,
+                      counters: OpCounters | None = None) -> None:
+    """One mini-batch detection of the seeded 10 dB instance, billed to ledger/counters."""
+    constellation = build_constellation(system.mod_order)
+    inst = generate_instance(system.n_ant, system.n_users, constellation, snr_db=10.0,
+                             master_seed=seed)
+    fabric = Fabric(partition(inst.H, inst.y, system.n_clusters),
+                    Topology(config.topology, system.n_clusters),
+                    ledger=ledger, counters=counters)
+    mini_nag_mcmc_detect(inst, config, fabric, constellation)
+
+
 def measured_cu_bits(point: dict, topology_kind: str, seed: int = 0) -> int:
     """Run one real detection and total the ledger's CU-incident traffic."""
-    constellation = build_constellation(point["M"])
-    inst = generate_instance(point["B"], point["U"], constellation, snr_db=10.0,
-                             master_seed=seed)
     config = DetectorConfig(sampling_iterations=point["S"], nag_iterations=point["Ng"],
                             batch_size=point["m"], seed=seed, topology=topology_kind)
     ledger = MessageLedger(real_bits=point["omega"],
                            symbol_bits=int(math.log2(point["M"])))
-    topology = Topology(topology_kind, point["C"])
-    fabric = Fabric(partition(inst.H, inst.y, point["C"]), topology, ledger=ledger)
-    mini_nag_mcmc_detect(inst, config, fabric, constellation)
-    return ledger.cu_bits(topology)
+    _seeded_detection(SystemSpec(point["B"], point["U"], point["C"], point["M"]),
+                      config, seed, ledger=ledger)
+    return ledger.cu_bits(Topology(topology_kind, point["C"]))
 
 
 def run_bandwidth_report(points: list[dict], measure: bool = True, seed: int = 0,
@@ -447,13 +458,8 @@ class ComplexityRow:
 def measure_complexity(system: SystemSpec, config: DetectorConfig,
                        seed: int = 0) -> ComplexityRow:
     """Real-multiplication counters for one seeded detection."""
-    constellation = build_constellation(system.mod_order)
-    inst = generate_instance(system.n_ant, system.n_users, constellation,
-                             snr_db=10.0, master_seed=seed)
     counters = OpCounters(system.n_clusters)
-    fabric = Fabric(partition(inst.H, inst.y, system.n_clusters),
-                    Topology(config.topology, system.n_clusters), counters=counters)
-    mini_nag_mcmc_detect(inst, config, fabric, constellation)
+    _seeded_detection(system, config, seed, counters=counters)
     du = counters.du_totals()
     return ComplexityRow(n_ant=system.n_ant, n_users=system.n_users,
                          n_clusters=system.n_clusters,

@@ -11,8 +11,9 @@ always sums contributions in ascending unit index regardless of
 topology, which makes star and chain runs numerically identical.
 
 Each per-unit computation reads only its own unit's (H_c, y_c) through
-:meth:`Fabric.du_view`.  The same kernels serve the sampler and the
-exact diagnostics.
+:meth:`Fabric.du_view`, plus the adjoint view H_c^H that the fabric
+builds once per unit.  The same kernels serve the sampler and the exact
+diagnostics.
 """
 
 from dataclasses import dataclass
@@ -82,8 +83,7 @@ class MessageLedger:
     """Per-link, per-direction, per-class payload counters.
 
     Counts are in payload units (reals / symbols / scalars); bit totals
-    apply the class widths.  Counters only ever grow; ledgers from
-    parallel workers can be combined with :meth:`merge`.
+    apply the class widths.  Counters only ever grow.
     """
 
     def __init__(self, real_bits: int = 16, symbol_bits: int = 4):
@@ -122,12 +122,6 @@ class MessageLedger:
     def cu_bits(self, topology: Topology) -> int:
         """Traffic on CU-incident links (both directions)."""
         return sum(self.bits(link=lk) for lk in topology.cu_links())
-
-    def merge(self, other: "MessageLedger") -> None:
-        if (other.real_bits, other.symbol_bits) != (self.real_bits, self.symbol_bits):
-            raise ConfigError("cannot merge ledgers with different widths")
-        for key, units in other._units.items():
-            self._units[key] = self._units.get(key, 0) + units
 
     def to_csv(self) -> str:
         lines = ["link,direction,class,bits"]
@@ -174,6 +168,7 @@ class Fabric:
         self.n_users = clustered.n_users
         self._all_units = tuple(range(self.n_units))
         self._views = tuple(zip(clustered.H_blocks, clustered.y_blocks))
+        self._adjoints = tuple(H_c.conj().T for H_c in clustered.H_blocks)
 
     # ---- local data access -----------------------------------------------
 
@@ -201,7 +196,7 @@ class Fabric:
             raise ConfigError(f"expected {self.n_users}-vector, got shape {p.shape}")
         if self.counters is not None:
             self.counters.add_du("gd", c, 8 * H_c.shape[0] * self.n_users)
-        return -(H_c.conj().T @ (y_c - H_c @ p))
+        return -(self._adjoints[c] @ (y_c - H_c @ p))
 
     def local_gram_diag(self, c: int) -> np.ndarray:
         """Per-user squared column norms of H_c (cost O(B_c U))."""
@@ -255,10 +250,9 @@ class Fabric:
         return total
 
 
-def centralized_transfer(ledger: MessageLedger, n_ant: int, n_users: int,
-                         link: str = "fronthaul-cu") -> None:
+def centralized_transfer(ledger: MessageLedger, n_ant: int, n_users: int) -> None:
     """Account the raw upload a centralized detector needs: H and y."""
-    ledger.charge(link, UP, REAL, 2 * (n_ant * n_users + n_ant))
+    ledger.charge("fronthaul-cu", UP, REAL, 2 * (n_ant * n_users + n_ant))
 
 
 def predicted_bandwidth(mode: str, *, n_ant: int | None = None, n_users: int,

@@ -2,12 +2,14 @@
 
 bench/run.py wraps the names in its ``TRACED`` table by patching
 ``vars(cls)[attr]`` or the module attribute, so a refactor that removes
-or moves one of them would only show when the traced pass crashes.  The
-script is read with ``ast``, not imported.
+or moves one of them would only show when the traced pass crashes.
+Likewise every ``module.attr(...)`` call it makes must still bind to the
+callee's signature.  The script is read with ``ast``, not imported.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,24 @@ def _traced():
 TRACED_NAMES = [f"{mod}.{name}" for mod, names in _traced().items() for name in names]
 
 
+def _module_calls():
+    """Sorted (callee, positional count, keyword names) of each ``module.attr(...)`` call."""
+    calls = set()
+    for node in ast.walk(_tree()):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id in MODULES):
+            # a *args or **kwargs call records a None keyword or a Starred positional
+            calls.add((f"{func.value.id}.{func.attr}",
+                       len(node.args) if not any(isinstance(a, ast.Starred) for a in node.args)
+                       else None,
+                       tuple(kw.arg for kw in node.keywords)))
+    return sorted(calls, key=repr)
+
+
+MODULE_CALLS = _module_calls()
+
+
 @pytest.mark.parametrize("label", TRACED_NAMES)
 def test_traced_name_resolves(label):
     mod, qualname = label.split(".", 1)
@@ -40,6 +60,21 @@ def test_traced_name_resolves(label):
         assert callable(vars(getattr(module, cls_name)).get(attr)), label
     else:
         assert callable(getattr(module, qualname, None)), label
+
+
+@pytest.mark.parametrize("callee,n_positional,keywords", MODULE_CALLS,
+                         ids=[f"{c}({n},{','.join(map(str, k))})" for c, n, k in MODULE_CALLS])
+def test_benchmark_call_binds_to_signature(callee, n_positional, keywords):
+    assert n_positional is not None and None not in keywords, "unpacked arguments"
+    mod, attr = callee.split(".")
+    signature = inspect.signature(getattr(importlib.import_module(f"dbpdet.{mod}"), attr))
+    signature.bind(*range(n_positional), **dict.fromkeys(keywords))
+
+
+def test_benchmark_calls_cover_both_detectors():
+    callees = {callee for callee, _, _ in MODULE_CALLS}
+    assert {"detectors.mini_nag_mcmc_detect", "detectors.nag_mcmc_detect",
+            "fabric.Fabric"} <= callees
 
 
 def test_module_attributes_used_by_benchmark_exist():

@@ -6,6 +6,7 @@ import pytest
 from dbpdet.channel import (generate_instance, generate_rayleigh, load_channel_file,
                             noise_variance_from_snr, partition, save_channel_file)
 from dbpdet.errors import ConfigError, FileFormatError, NumericInputError
+from dbpdet.fabric import Fabric
 from dbpdet.modem import build_constellation
 
 
@@ -101,9 +102,11 @@ def test_partition_reconstruction_and_diag_additivity():
     assert np.array_equal(np.concatenate(clustered.H_blocks, axis=0), H)
     assert np.array_equal(np.concatenate(clustered.y_blocks), y)
     col_norms = np.sum(np.abs(H) ** 2, axis=0)
-    total = clustered.gram_diags.sum(axis=0)
+    fabric = Fabric(clustered)
+    parts = [fabric.local_gram_diag(c) for c in range(4)]
+    assert all(np.all(part >= 0) for part in parts)
+    total = fabric.collect_gram_diag_sum()
     assert np.max(np.abs(total - col_norms) / col_norms) < 1e-10
-    assert np.all(clustered.gram_diags >= 0)
 
 
 def test_partition_requires_divisibility():

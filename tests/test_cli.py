@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dbpdet import experiments
 from dbpdet.cli import main
 
 CONFIG = """
@@ -86,6 +87,23 @@ def test_ber_deterministic_across_workers(config_path, capsys):
     assert main(["ber", "--config", config_path, "--workers", "2"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_failure_names_block_and_trial(config_path, monkeypatch, capsys, workers):
+    detect = experiments.mini_nag_mcmc_detect
+
+    def failing_at_trial_70(instance, config, fabric, constellation, trial=0, x0=None):
+        if trial == 70:
+            raise FloatingPointError("injected")
+        return detect(instance, config, fabric, constellation, trial=trial, x0=x0)
+
+    # 100 trials of 4 bits: blocks 0 and 1 run, and trial 70 is in block 1
+    monkeypatch.setattr(experiments, "mini_nag_mcmc_detect", failing_at_trial_70)
+    assert main(["ber", "--config", config_path, "--workers", str(workers)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime error: FloatingPointError: injected (in block 1, trial 70)\n"
 
 
 def test_bandwidth_stdout(capsys):

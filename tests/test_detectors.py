@@ -107,6 +107,28 @@ def test_nag_stage_stationary_and_single_step():
     assert np.allclose(z1, x0 - tau * dense, atol=1e-14)  # rho_1 = 0
 
 
+def test_nag_stage_full_batch_draws_no_batch():
+    inst = generate_instance(16, 4, C16, 9.0, 23)
+    fabric = Fabric(partition(inst.H, inst.y, 4))
+    tau = learning_rate(fabric.clustered)
+    x0 = C16.points[np.array([1, 4, 9, 14])]
+    config = DetectorConfig(sampling_iterations=1, nag_iterations=4, batch_size=4)
+    rng_batch = np.random.default_rng(24)
+    state = rng_batch.bit_generator.state
+    z = nag_stage(x0, config, fabric, tau, rng_batch)
+    assert rng_batch.bit_generator.state == state
+    assert np.array_equal(z, nag_stage(x0, config, fabric, tau, rng_batch=None))
+
+
+def test_nag_stage_mini_batch_needs_batch_generator():
+    inst = generate_instance(16, 4, C16, 9.0, 25)
+    fabric = Fabric(partition(inst.H, inst.y, 4))
+    config = DetectorConfig(sampling_iterations=1, batch_size=2)
+    x0 = C16.points[np.array([1, 4, 9, 14])]
+    with pytest.raises(ConfigError):
+        nag_stage(x0, config, fabric, learning_rate(fabric.clustered), rng_batch=None)
+
+
 def test_full_batch_descent_never_increases_objective():
     # exact-mode learning rate keeps full-batch accelerated descent stable
     for seed in range(4):
@@ -205,11 +227,13 @@ def test_detect_trace_consistency():
 def test_detect_deterministic():
     inst = generate_instance(16, 4, C16, 9.0, 11)
     config = DetectorConfig(sampling_iterations=8, batch_size=2, seed=5)
-    a = _run(inst, config, 4, ledger=MessageLedger(16, 4))
-    b = _run(inst, config, 4, ledger=MessageLedger(16, 4))
+    ledger_a, ledger_b = MessageLedger(16, 4), MessageLedger(16, 4)
+    a = _run(inst, config, 4, ledger=ledger_a)
+    b = _run(inst, config, 4, ledger=ledger_b)
     assert np.array_equal(a.x_hat, b.x_hat)
     assert [r.f for r in a.records] == [r.f for r in b.records]
-    assert a.ledger.to_csv() == b.ledger.to_csv()
+    assert ledger_a.bits() > 0
+    assert ledger_a.to_csv() == ledger_b.to_csv()
 
 
 def test_star_chain_bit_identical():

@@ -1,7 +1,11 @@
 """Harness behavior: stopping, reproducibility, reports, config parsing."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
+
+from dbpdet import experiments
 
 from dbpdet.detectors import DetectorConfig
 from dbpdet.errors import ConfigError, UsageError
@@ -95,6 +99,24 @@ def test_paired_trials_worker_invariance():
     a = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=1)
     b = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=2)
     assert np.array_equal(a["mini"], b["mini"])
+
+
+def test_paired_trials_spawn_pool_matches_serial(monkeypatch):
+    system = SystemSpec(16, 4, 4, 16)
+    dets = {"mini": DetectorSpec(MINI_NAG_MCMC,
+                                 DetectorConfig(sampling_iterations=3, batch_size=2, seed=3))}
+    serial = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=1)
+    spawn_pool = multiprocessing.get_context("spawn").Pool
+    pools = []
+
+    def recording_spawn_pool(*args, **kwargs):
+        pools.append(args)
+        return spawn_pool(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.multiprocessing, "Pool", recording_spawn_pool)
+    spawned = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=2)
+    assert pools == [(2,)]
+    assert np.array_equal(serial["mini"], spawned["mini"])
 
 
 def test_convergence_prefix_matches_direct_runs():

@@ -56,20 +56,12 @@ def test_ledger_widths_and_totals():
         ledger.charge("cu-du1", UP, REAL, -1)
 
 
-def test_ledger_monotone_and_merge():
+def test_ledger_monotone():
     a = MessageLedger(16, 4)
     a.charge("x", UP, REAL, 2)
     before = a.bits()
     a.charge("x", UP, REAL, 3)
     assert a.bits() > before
-    b = MessageLedger(16, 4)
-    b.charge("x", UP, REAL, 1)
-    b.charge("y", DOWN, SYMBOL, 5)
-    a.merge(b)
-    assert a.bits(link="x") == 6 * 16
-    assert a.bits(link="y") == 20
-    with pytest.raises(ConfigError):
-        a.merge(MessageLedger(8, 4))
 
 
 def test_ledger_csv():
