@@ -13,8 +13,9 @@ import pytest
 
 from dbpdet.channel import generate_instance, partition
 from dbpdet.cli import main
-from dbpdet.detectors import DetectorConfig, mini_nag_mcmc_detect, nag_mcmc_detect, trace_csv
-from dbpdet.fabric import DAISY_CHAIN, Fabric, MessageLedger, OpCounters, Topology
+from dbpdet.detectors import (EXACT_GRAM_FNORM, DetectorConfig, mini_nag_mcmc_detect,
+                              nag_mcmc_detect, trace_csv)
+from dbpdet.fabric import DAISY_CHAIN, STAR, Fabric, MessageLedger, OpCounters, Topology
 from dbpdet.modem import build_constellation
 
 S_GRID = ",".join(str(s) for s in range(2, 13))
@@ -77,6 +78,18 @@ DIGESTS = {
         "56be5defec88ecbd98b68cbb8e75e54f4b79842b796926765ffbbe5380d63a36",
     "detection-centralized":
         "5435a421421aa4cb3b027c6672b80f887f641d4fb599f71c9efaaa093e75c5a0",
+    "detection-star-m1-samplers3-exact":
+        "62e024c84364d8e3467731c24f75d59310ba00ce0fd61b5ac5c68a165f9e7371",
+    "detection-chain-s0":
+        "bad799a464a1e8cde2f68db88f68661dabe29bcfef38fbc9744165fb401bedba",
+}
+
+# seeded 32x8 detections billed to a ledger and counters: (topology, config)
+BILLED = {
+    "detection-star-m1-samplers3-exact": (STAR, DetectorConfig(
+        sampling_iterations=10, batch_size=1, samplers=3, lr_mode=EXACT_GRAM_FNORM, seed=11)),
+    "detection-chain-s0": (DAISY_CHAIN, DetectorConfig(
+        sampling_iterations=0, batch_size=4, seed=11, topology=DAISY_CHAIN)),
 }
 
 DIAGNOSE_VERDICTS = [
@@ -113,16 +126,14 @@ def _cli_output(case, tmp_path, capsys):
     return (out / name).read_text(), capsys.readouterr().out
 
 
-def _detection_text():
-    """Trace, ledger, counters and decision of one seeded daisy-chain detection."""
+def _billed_text(kind, config):
+    """Trace, ledger, counters and decision of one seeded 32x8 detection on a ``kind`` fabric."""
     const = build_constellation(16)
     inst = generate_instance(32, 8, const, snr_db=6.0, master_seed=11, trial=4)
     ledger = MessageLedger(symbol_bits=const.bits_per_symbol)
     counters = OpCounters(8)
-    fabric = Fabric(partition(inst.H, inst.y, 8), Topology(DAISY_CHAIN, 8),
+    fabric = Fabric(partition(inst.H, inst.y, 8), Topology(kind, 8),
                     ledger=ledger, counters=counters)
-    config = DetectorConfig(sampling_iterations=10, batch_size=4, seed=11,
-                            topology=DAISY_CHAIN)
     result = mini_nag_mcmc_detect(inst, config, fabric, const, trial=4)
     counts = "\n".join(f"{ph},{','.join(map(str, counters.du[ph]))},{counters.cu[ph]}"
                        for ph in counters.PHASES)
@@ -131,6 +142,12 @@ def _detection_text():
                       repr(result.f_hat), repr(result.tau)])
     assert np.all(np.isin(result.x_hat, const.points))
     return text
+
+
+def _detection_text():
+    """Trace, ledger, counters and decision of one seeded daisy-chain detection."""
+    return _billed_text(DAISY_CHAIN, DetectorConfig(sampling_iterations=10, batch_size=4,
+                                                    seed=11, topology=DAISY_CHAIN))
 
 
 def _centralized_text():
@@ -155,6 +172,11 @@ def test_cli_output_digest(case, tmp_path, capsys):
 
 def test_detection_digest():
     assert _sha256(_detection_text()) == DIGESTS["detection-daisy-chain"]
+
+
+@pytest.mark.parametrize("case", sorted(BILLED))
+def test_billed_detection_digest(case):
+    assert _sha256(_billed_text(*BILLED[case])) == DIGESTS[case]
 
 
 def test_centralized_detection_digest():
