@@ -7,7 +7,9 @@ scaled by C/m so the estimate is unbiased; candidates are the quantized
 random-walk perturbation of the descent output; acceptance uses
 alpha = min{1, exp(2 f(x_prev) - 2 f(x_cand))} with the 1/2-norm
 objective convention, and the reported decision is the stored sample
-with the smallest objective (earliest on ties).
+with the smallest objective (earliest on ties).  The sampler keeps no
+accounting: each chain draws its batches up front, and
+:meth:`Fabric.charge_detection` bills the detection from its record.
 
 The centralized detector is the m = C run of the same sampler on a
 ledger-less star fabric: every unit is in every batch, so no batch is
@@ -115,12 +117,12 @@ def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
 
 
 def _learning_rate(fabric: Fabric, mode: str) -> float:
-    """:func:`learning_rate` of the fabric; the Gram-diagonal upload happens in either mode."""
-    diag_sum = fabric.collect_gram_diag_sum()
+    """:func:`learning_rate` of the fabric's clustered channel."""
     if mode == EXACT_GRAM_FNORM:
         gram = fb.batch_hessian(fabric.clustered, range(fabric.n_units), fabric.n_units)
         norm = float(np.linalg.norm(gram, "fro"))
     elif mode == DIAG_APPROX:
+        diag_sum = fabric.collect_gram_diag_sum()
         norm = float(np.sqrt(np.sum(diag_sum * diag_sum)))
     else:
         raise ConfigError(f"unknown lr_mode {mode!r}")
@@ -130,7 +132,7 @@ def _learning_rate(fabric: Fabric, mode: str) -> float:
 
 
 def mini_batch_gradient(p: np.ndarray, batch, fabric: Fabric, batch_size: int) -> np.ndarray:
-    """(C/m)-scaled sum of the batch's local gradients (ledger charged)."""
+    """(C/m)-scaled sum of the batch's local gradients."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     return (fabric.n_units / batch_size) * fabric.gradient_sum(p, batch)
@@ -159,63 +161,51 @@ def mh_accept(f_cand: float, f_prev: float, rng: np.random.Generator):
 
 
 def nag_stage(x_prev: np.ndarray, config: DetectorConfig, fabric: Fabric, tau: float,
-              rng_batch: np.random.Generator | None, rho: np.ndarray | None = None) -> np.ndarray:
+              batches: np.ndarray, rho: np.ndarray | None = None) -> np.ndarray:
     """Momentum-accelerated descent from x_prev; returns the final iterate.
 
-    Each iteration draws a sorted batch of ``config.batch_size`` units
-    from ``rng_batch``.  At m = C every unit contributes and nothing is
-    drawn, so ``rng_batch`` may then be None.
+    Iteration k aggregates the local gradients of the units in row k of
+    ``batches``, which holds ``config.nag_iterations`` rows of
+    ``config.batch_size`` unit indices.
     """
     if rho is None:
         rho = momentum_schedule(config.nag_iterations)
-    n_units = fabric.n_units
-    m = config.batch_size
-    every_unit = tuple(range(n_units)) if m == n_units else None
-    if every_unit is None and rng_batch is None:
-        raise ConfigError(f"batch_size {m} of {n_units} units needs a batch generator")
-    step = tau * (n_units / m)
+    step = tau * (fabric.n_units / config.batch_size)
     z = x_prev.astype(np.complex128)
     dz = np.zeros(fabric.n_users, dtype=np.complex128)
-    counters = fabric.counters
     for k in range(config.nag_iterations):
         p_k = z + rho[k] * dz
-        batch = every_unit or np.sort(rng_batch.choice(n_units, size=m, replace=False))
-        fabric.broadcast_reals(2 * fabric.n_users, batch)
-        g = fabric.gradient_sum(p_k, batch)
+        g = fabric.gradient_sum(p_k, batches[k])
         z_new = p_k - step * g
         dz = z_new - z
         z = z_new
-        if counters is not None:
-            counters.add_cu("gd", 4 * fabric.n_users)
     return z
 
 
-def _chain_rngs(seed: int, trial: int, sampler: int):
-    return (
-        rngmod.stream(seed, rngmod.BATCH, trial, sampler),
-        rngmod.stream(seed, rngmod.WALK, trial, sampler),
-        rngmod.stream(seed, rngmod.MH, trial, sampler),
-    )
+def _chain_batches(config: DetectorConfig, n_units: int, trial: int, sampler: int):
+    """One chain's (S, N_g, m) sorted batches, in iteration order; none is drawn at m = C."""
+    m = config.batch_size
+    shape = (config.sampling_iterations, config.nag_iterations, m)
+    if m == n_units:
+        return np.broadcast_to(np.arange(n_units), shape)
+    rng_batch = rngmod.stream(config.seed, rngmod.BATCH, trial, sampler)
+    return np.array([np.sort(rng_batch.choice(n_units, size=m, replace=False))
+                     for _ in range(shape[0] * shape[1])], dtype=np.intp).reshape(shape)
 
 
 def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellation,
                tau: float, x0: np.ndarray, f0: float, rho: np.ndarray,
-               rngs, sampler: int) -> list[SampleRecord]:
-    rng_batch, rng_walk, rng_mh = rngs
-    counters = fabric.counters
-    n_users = fabric.n_users
-    sqrt_m = int(round(math.sqrt(constellation.order)))
+               batches: np.ndarray, trial: int, sampler: int) -> list[SampleRecord]:
+    rng_walk = rngmod.stream(config.seed, rngmod.WALK, trial, sampler)
+    rng_mh = rngmod.stream(config.seed, rngmod.MH, trial, sampler)
     x_prev, f_prev, f_best = x0, f0, f0
     records: list[SampleRecord] = []
     for t in range(1, config.sampling_iterations + 1):
-        z = nag_stage(x_prev, config, fabric, tau, rng_batch, rho)
+        z = nag_stage(x_prev, config, fabric, tau, batches[t - 1], rho)
         cand = propose_candidate(z, config.walk_step, constellation, rng_walk)
-        fabric.broadcast_symbols(n_users)
         f_cand = fabric.objective_sum(cand)
         f_before = f_prev
         accepted, alpha = mh_accept(f_cand, f_prev, rng_mh)
-        if counters is not None:
-            counters.add_cu("sampling", 2 * n_users + 2 * n_users + 2 * sqrt_m * n_users + 2)
         if accepted:
             x_prev, f_prev = cand, f_cand
         f_best = min(f_best, f_prev)
@@ -233,25 +223,32 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
         raise ConfigError("fabric does not match the instance dimensions")
     if config.batch_size > n_units or n_units % config.batch_size != 0:
         raise ConfigError(f"batch_size {config.batch_size} must divide cluster count {n_units}")
+    if config.topology != fabric.topology.kind:
+        raise ConfigError(f"{config.topology} config on a {fabric.topology.kind} fabric")
 
-    # preprocessing: gram-diagonal upload, learning rate, initial sample
+    # preprocessing: learning rate, initial sample
     tau = _learning_rate(fabric, config.lr_mode)
-    if fabric.counters is not None:
-        fabric.counters.add_cu("preprocessing", n_users + 2)
     if x0 is None:
         rng_init = rngmod.stream(config.seed, rngmod.INIT_SAMPLE, trial)
         x0 = constellation.points[rng_init.integers(0, constellation.order, size=n_users)]
     else:
         x0 = np.asarray(x0, dtype=np.complex128)
-    fabric.broadcast_symbols(n_users)
     f0 = fabric.objective_sum(x0)
     rho = momentum_schedule(config.nag_iterations)
 
     records = [SampleRecord(t=0, x=x0, f=f0, f_prev=f0, f_cand=f0, alpha=1.0,
                             accepted=True, f_best=f0, sampler=0)]
-    for p in range(config.samplers):
+    batches = [_chain_batches(config, n_units, trial, p) for p in range(config.samplers)]
+    for p, chain_batches in enumerate(batches):
         records.extend(_run_chain(fabric, config, constellation, tau, x0, f0, rho,
-                                  _chain_rngs(config.seed, trial, p), p))
+                                  chain_batches, trial, p))
+
+    iterations = config.samplers * config.sampling_iterations
+    sqrt_m = int(round(math.sqrt(constellation.order)))
+    fabric.charge_detection(np.concatenate(batches).reshape(-1, config.batch_size), iterations + 1,
+                            {"preprocessing": n_users + 2,
+                             "gd": 4 * n_users * config.nag_iterations * iterations,
+                             "sampling": (4 * n_users + 2 * sqrt_m * n_users + 2) * iterations})
 
     best = min(range(len(records)), key=lambda i: records[i].f)
     return DetectionResult(x_hat=records[best].x, f_hat=records[best].f, records=records,
@@ -272,12 +269,13 @@ def nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig,
 
     ``clusters`` only fixes the gradient summation blocking; pass the
     mini-batch run's cluster count to reproduce its arithmetic exactly.
-    ``config.batch_size`` is replaced by ``clusters``.  No ledger is
-    attached: the centralized scheme has no fabric to bill.
+    ``config.batch_size`` is replaced by ``clusters`` and ``config.topology``
+    by the star.  No ledger is attached: the centralized scheme has no
+    fabric to bill.
     """
     fabric = Fabric(partition(instance.H, instance.y, clusters))
-    return _detect(instance, replace(config, batch_size=clusters), fabric, constellation,
-                   trial, x0)
+    return _detect(instance, replace(config, batch_size=clusters, topology=fb.STAR), fabric,
+                   constellation, trial, x0)
 
 
 def lmmse_estimate(instance: MimoInstance) -> np.ndarray:

@@ -11,6 +11,7 @@ random numbers) to make paired comparisons cheap.
 
 import configparser
 import contextlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -143,35 +144,31 @@ def _ber_block(args):
     return out
 
 
-def _run_blocks(worker_fn, args, workers, stop_fn):
+def _run_blocks(worker_fn, args, workers, stop_fn, n_blocks=None):
     """Feed blocks 0, 1, ... to ``worker_fn((*args, block))``; stop when ``stop_fn`` says so.
 
-    Blocks are consumed strictly in index order, so scheduling and
-    worker count never affect which trials contribute.
+    No block from ``n_blocks`` on is submitted.  Blocks are consumed
+    strictly in index order, so scheduling and worker count never affect
+    which trials contribute.
     """
+    blocks = itertools.count() if n_blocks is None else iter(range(n_blocks))
     if workers <= 1:
-        block = 0
-        while not stop_fn(worker_fn((*args, block))):
-            block += 1
+        for block in blocks:
+            if stop_fn(worker_fn((*args, block))):
+                return
         return
     with multiprocessing.Pool(workers) as pool:
-        pending = [pool.apply_async(worker_fn, ((*args, i),)) for i in range(workers)]
-        block = workers
-        while not stop_fn(pending.pop(0).get()):
-            pending.append(pool.apply_async(worker_fn, ((*args, block),)))
-            block += 1
+        pending = [pool.apply_async(worker_fn, ((*args, b),))
+                   for b in itertools.islice(blocks, workers)]
+        while pending and not stop_fn(pending.pop(0).get()):
+            pending += [pool.apply_async(worker_fn, ((*args, b),))
+                        for b in itertools.islice(blocks, 1)]
 
 
 def _first_blocks(worker_fn, args, workers, n_trials):
     """Results of blocks 0 .. ceil(n_trials / BLOCK) - 1, in block order."""
     collected = []
-    needed = math.ceil(n_trials / BLOCK)
-
-    def stop(block_res):
-        collected.append(block_res)
-        return len(collected) >= needed
-
-    _run_blocks(worker_fn, args, workers, stop)
+    _run_blocks(worker_fn, args, workers, collected.append, math.ceil(n_trials / BLOCK))
     return collected
 
 

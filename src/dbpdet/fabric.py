@@ -2,13 +2,13 @@
 
 A :class:`Fabric` owns the clustered channel data on behalf of the
 distributed units and mediates every exchange with the central unit.
-Collective operations charge a :class:`MessageLedger` per link and per
-direction, with three payload classes: continuous reals (``omega`` bits
-each), QAM symbols (``log2 M`` bits each), and scalar uploads (``omega``
-bits each).  Uploads on the daisy chain accumulate hop-by-hop, so each
-traversed link carries exactly one payload-sized message; aggregation
-always sums contributions in ascending unit index regardless of
-topology, which makes star and chain runs numerically identical.
+Collectives only compute, summing in ascending unit index on any topology,
+so star and chain runs are numerically identical.  Each detection is billed
+once, from its record, to a :class:`MessageLedger` per link and direction
+in three payload classes (reals and scalars ``omega`` bits each, QAM
+symbols ``log2 M`` bits each) and to :class:`OpCounters` per unit and phase.
+Uploads on the daisy chain accumulate hop-by-hop, so each traversed link
+carries exactly one payload-sized message.
 
 Each per-unit computation reads only its own unit's (H_c, y_c) through
 :meth:`Fabric.du_view`, plus the adjoint view H_c^H that the fabric
@@ -16,6 +16,7 @@ builds once per unit.  The same kernels serve the sampler and the exact
 diagnostics.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +61,8 @@ class Topology:
             return self.links()
         return [f"du{self.n_units}-cu"]
 
-    def broadcast_links(self, dests) -> list[str]:
-        """Links that carry one copy of a CU broadcast reaching ``dests``."""
-        dests = sorted(dests)
-        if not dests:
-            raise ConfigError("broadcast needs a nonempty destination set")
-        if self.kind == STAR:
-            return [f"cu-du{c + 1}" for c in dests]
-        return self.links()[dests[0]:]
-
     def upload_links(self, sources) -> list[str]:
-        """Links that each carry one accumulated upload from ``sources``."""
+        """Links that each carry one accumulated upload from, or broadcast to, ``sources``."""
         sources = sorted(sources)
         if not sources:
             raise ConfigError("upload needs a nonempty source set")
@@ -166,7 +158,6 @@ class Fabric:
         # fixed for the fabric's lifetime: read by every per-unit call
         self.n_units = clustered.n_clusters
         self.n_users = clustered.n_users
-        self._all_units = tuple(range(self.n_units))
         self._views = tuple(zip(clustered.H_blocks, clustered.y_blocks))
         self._adjoints = tuple(H_c.conj().T for H_c in clustered.H_blocks)
 
@@ -184,9 +175,6 @@ class Fabric:
         if x.shape != (self.n_users,):
             raise ConfigError(f"expected {self.n_users}-vector, got shape {x.shape}")
         r = y_c - H_c @ x
-        if self.counters is not None:
-            b_c = H_c.shape[0]
-            self.counters.add_du("sampling", c, 4 * b_c * self.n_users + 2 * b_c + 1)
         return 0.5 * float(np.real(np.vdot(r, r)))
 
     def local_gradient(self, c: int, p: np.ndarray) -> np.ndarray:
@@ -194,40 +182,20 @@ class Fabric:
         H_c, y_c = self.du_view(c)
         if p.shape != (self.n_users,):
             raise ConfigError(f"expected {self.n_users}-vector, got shape {p.shape}")
-        if self.counters is not None:
-            self.counters.add_du("gd", c, 8 * H_c.shape[0] * self.n_users)
         return -(self._adjoints[c] @ (y_c - H_c @ p))
 
     def local_gram_diag(self, c: int) -> np.ndarray:
         """Per-user squared column norms of H_c (cost O(B_c U))."""
         H_c, _ = self.du_view(c)
-        if self.counters is not None:
-            self.counters.add_du("preprocessing", c, 2 * H_c.shape[0] * self.n_users)
         return np.einsum("bu,bu->u", H_c.conj(), H_c).real
 
-    # ---- collective operations (charge the ledger) -------------------------
-
-    def _charge(self, route, units_reached, direction, payload_class, units):
-        """Charge ``units`` on every link of ``route(units_reached)``, if billed."""
-        if self.ledger is not None:
-            for lk in route(units_reached):
-                self.ledger.charge(lk, direction, payload_class, units)
-
-    def broadcast_reals(self, units: int, dests) -> None:
-        """Account a CU broadcast of ``units`` continuous reals to ``dests``."""
-        self._charge(self.topology.broadcast_links, dests, DOWN, REAL, units)
-
-    def broadcast_symbols(self, n_symbols: int, dests=None) -> None:
-        """Account a CU broadcast of a QAM symbol vector (default: all DUs)."""
-        dests = self._all_units if dests is None else dests
-        self._charge(self.topology.broadcast_links, dests, DOWN, SYMBOL, n_symbols)
+    # ---- collective operations (compute only) -------------------------------
 
     def collect_gram_diag_sum(self) -> np.ndarray:
         """Gram-diagonal upload: every unit contributes U scalars."""
         total = self.local_gram_diag(0).copy()
         for c in range(1, self.n_units):
             total += self.local_gram_diag(c)
-        self._charge(self.topology.upload_links, self._all_units, UP, SCALAR, self.n_users)
         return total
 
     def gradient_sum(self, p: np.ndarray, batch) -> np.ndarray:
@@ -238,7 +206,6 @@ class Fabric:
         total = self.local_gradient(batch[0], p).copy()
         for c in batch[1:]:
             total += self.local_gradient(c, p)
-        self._charge(self.topology.upload_links, batch, UP, REAL, 2 * self.n_users)
         return total
 
     def objective_sum(self, x: np.ndarray) -> float:
@@ -246,8 +213,45 @@ class Fabric:
         total = self.local_objective(0, x)
         for c in range(1, self.n_units):
             total += self.local_objective(c, x)
-        self._charge(self.topology.upload_links, self._all_units, UP, SCALAR, 1)
         return total
+
+    def broadcast_reals(self, units: int, dests) -> None:
+        """Bill a CU broadcast of ``units`` continuous reals to ``dests`` to the ledger."""
+        for lk in self.topology.upload_links(dests):
+            self.ledger.charge(lk, DOWN, REAL, units)
+
+    def broadcast_symbols(self, n_symbols: int) -> None:
+        """Bill a CU broadcast of ``n_symbols`` QAM symbols to every DU to the ledger."""
+        for lk in self.topology.upload_links(range(self.n_units)):
+            self.ledger.charge(lk, DOWN, SYMBOL, n_symbols)
+
+    def charge_detection(self, batches: np.ndarray, n_objectives: int,
+                         cu_mults: dict[str, int]) -> None:
+        """Bill one detection, from its record, to the attached ledger and counters.
+
+        ``batches`` has a row of unit indices per gradient aggregation (2U reals
+        down to the batch, 2U up); ``n_objectives`` counts objective evaluations
+        (U symbols down to all, a scalar up) after the Gram-diagonal upload (U
+        scalars); ``cu_mults`` maps a phase to the CU's multiplications.
+        """
+        u = self.n_users
+        if self.ledger is not None:
+            self.broadcast_symbols(n_objectives * u)
+            for lk in self.topology.upload_links(range(self.n_units)):
+                self.ledger.charge(lk, UP, SCALAR, u + n_objectives)
+            for batch, count in Counter(map(tuple, batches.tolist())).items():
+                self.broadcast_reals(2 * u * count, batch)
+                for lk in self.topology.upload_links(batch):
+                    self.ledger.charge(lk, UP, REAL, 2 * u * count)
+        if self.counters is not None:
+            aggregations = np.bincount(batches.ravel(), minlength=self.n_units)
+            for c, (H_c, _) in enumerate(self._views):
+                b_c = H_c.shape[0]
+                self.counters.add_du("preprocessing", c, 2 * b_c * u)
+                self.counters.add_du("gd", c, 8 * b_c * u * int(aggregations[c]))
+                self.counters.add_du("sampling", c, n_objectives * (4 * b_c * u + 2 * b_c + 1))
+            for phase, mults in cu_mults.items():
+                self.counters.add_cu(phase, mults)
 
 
 def centralized_transfer(ledger: MessageLedger, n_ant: int, n_users: int) -> None:

@@ -5,6 +5,9 @@ bench/run.py wraps the names in its ``TRACED`` table by patching
 or moves one of them would only show when the traced pass crashes.
 Likewise every ``module.attr(...)`` call it makes must still bind to the
 callee's signature.  The script is read with ``ast``, not imported.
+Every traced name must also be called inside the package, or its
+per-layer metrics would read 0 calls for a name kept only for the
+benchmark.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+RUN_PY = ROOT / "bench" / "run.py"
 MODULES = ("rng", "channel", "modem", "fabric", "detectors", "experiments")
 
 
@@ -60,6 +64,24 @@ def test_traced_name_resolves(label):
         assert callable(vars(getattr(module, cls_name)).get(attr)), label
     else:
         assert callable(getattr(module, qualname, None)), label
+
+
+def _package_callees():
+    """Names called in src/dbpdet, as ``f(...)`` or ``obj.f(...)``."""
+    names = set()
+    for path in (ROOT / "src" / "dbpdet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                names.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    return names
+
+
+PACKAGE_CALLEES = _package_callees()
+
+
+@pytest.mark.parametrize("label", TRACED_NAMES)
+def test_traced_name_is_called_in_package(label):
+    assert label.rsplit(".", 1)[-1] in PACKAGE_CALLEES, f"nothing in dbpdet calls {label}"
 
 
 @pytest.mark.parametrize("callee,n_positional,keywords", MODULE_CALLS,

@@ -3,14 +3,16 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbpdet import rng as rngmod
 from dbpdet.channel import MimoInstance, generate_instance, generate_rayleigh, partition
-from dbpdet.detectors import (DetectorConfig, learning_rate, lmmse_detect,
+from dbpdet.detectors import (DetectorConfig, _chain_batches, learning_rate, lmmse_detect,
                               lmmse_estimate, mh_accept, mini_batch_gradient,
                               mini_nag_mcmc_detect, ml_brute_force, momentum_schedule,
                               nag_mcmc_detect, nag_stage, propose_candidate, trace_csv)
@@ -90,43 +92,68 @@ def test_mini_batch_unbiasedness_enumerated():
         assert np.max(np.abs(mean - dense)) / np.max(np.abs(dense)) < 1e-12
 
 
+def _every_unit(config, n_units):
+    """The N_g batch rows of a full-batch NAG stage."""
+    return np.broadcast_to(np.arange(n_units), (config.nag_iterations, n_units))
+
+
 def test_nag_stage_stationary_and_single_step():
     inst = _noise_free(8, 2, C16, 4)
     fabric = Fabric(partition(inst.H, inst.y, 2))
     config = DetectorConfig(sampling_iterations=1, nag_iterations=4, batch_size=2, seed=0)
     tau = learning_rate(fabric.clustered)
-    z = nag_stage(inst.x_true, config, fabric, tau, rng_batch=None)
+    z = nag_stage(inst.x_true, config, fabric, tau, _every_unit(config, 2))
     assert np.max(np.abs(z - inst.x_true)) < 1e-14  # gradients vanish at the optimum
 
     inst2 = generate_instance(8, 2, C16, 10.0, 5)
     fabric2 = Fabric(partition(inst2.H, inst2.y, 2))
     cfg1 = DetectorConfig(sampling_iterations=1, nag_iterations=1, batch_size=2, seed=0)
     x0 = C16.points[np.array([0, 5])]
-    z1 = nag_stage(x0, cfg1, fabric2, tau, rng_batch=None)
+    z1 = nag_stage(x0, cfg1, fabric2, tau, _every_unit(cfg1, 2))
     dense = -(inst2.H.conj().T @ (inst2.y - inst2.H @ x0))
     assert np.allclose(z1, x0 - tau * dense, atol=1e-14)  # rho_1 = 0
 
 
-def test_nag_stage_full_batch_draws_no_batch():
+def test_nag_stage_full_batch_draws_no_batch(monkeypatch):
     inst = generate_instance(16, 4, C16, 9.0, 23)
-    fabric = Fabric(partition(inst.H, inst.y, 4))
-    tau = learning_rate(fabric.clustered)
-    x0 = C16.points[np.array([1, 4, 9, 14])]
-    config = DetectorConfig(sampling_iterations=1, nag_iterations=4, batch_size=4)
-    rng_batch = np.random.default_rng(24)
-    state = rng_batch.bit_generator.state
-    z = nag_stage(x0, config, fabric, tau, rng_batch)
-    assert rng_batch.bit_generator.state == state
-    assert np.array_equal(z, nag_stage(x0, config, fabric, tau, rng_batch=None))
+    domains = []
+    stream = rngmod.stream
+
+    def recording_stream(seed, domain, *keys):
+        domains.append(domain)
+        return stream(seed, domain, *keys)
+
+    monkeypatch.setattr(rngmod, "stream", recording_stream)
+    config = DetectorConfig(sampling_iterations=3, nag_iterations=4, batch_size=4, samplers=2)
+    assert np.array_equal(_chain_batches(config, 4, 0, 1),
+                          np.broadcast_to(np.arange(4), (3, 4, 4)))
+    _run(inst, config, 4)
+    assert rngmod.BATCH not in domains and rngmod.WALK in domains
+    domains.clear()
+    _run(inst, replace(config, batch_size=2), 4)
+    assert domains.count(rngmod.BATCH) == 2  # one batch stream per sampler below m = C
 
 
-def test_nag_stage_mini_batch_needs_batch_generator():
+def test_nag_stage_aggregates_given_batch_rows():
     inst = generate_instance(16, 4, C16, 9.0, 25)
     fabric = Fabric(partition(inst.H, inst.y, 4))
-    config = DetectorConfig(sampling_iterations=1, batch_size=2)
+    tau = learning_rate(fabric.clustered)
+    config = DetectorConfig(sampling_iterations=1, nag_iterations=1, batch_size=2)
     x0 = C16.points[np.array([1, 4, 9, 14])]
-    with pytest.raises(ConfigError):
-        nag_stage(x0, config, fabric, learning_rate(fabric.clustered), rng_batch=None)
+    z = nag_stage(x0, config, fabric, tau, np.array([[1, 3]]))
+    g = fabric.local_gradient(1, x0) + fabric.local_gradient(3, x0)
+    assert np.allclose(z, x0 - tau * (4 / 2) * g, atol=1e-14)  # rho_1 = 0
+
+
+def test_chain_batches_match_sequential_draws_and_prefix():
+    config = DetectorConfig(sampling_iterations=5, nag_iterations=3, batch_size=2, seed=9)
+    batches = _chain_batches(config, 8, 4, 1)
+    rng_batch = rngmod.stream(9, rngmod.BATCH, 4, 1)
+    drawn = [np.sort(rng_batch.choice(8, size=2, replace=False)) for _ in range(5 * 3)]
+    assert np.array_equal(batches.reshape(-1, 2), drawn)
+    shorter = _chain_batches(replace(config, sampling_iterations=2), 8, 4, 1)
+    assert np.array_equal(shorter, batches[:2])
+    assert _chain_batches(replace(config, sampling_iterations=0), 8, 4, 1).shape == (0, 3, 2)
 
 
 def test_full_batch_descent_never_increases_objective():
@@ -140,7 +167,7 @@ def test_full_batch_descent_never_increases_objective():
         f0 = f(x0)
         for k in range(1, 5):
             cfg = DetectorConfig(sampling_iterations=1, nag_iterations=k, batch_size=4, seed=0)
-            zk = nag_stage(x0, cfg, fabric, tau, rng_batch=None)
+            zk = nag_stage(x0, cfg, fabric, tau, _every_unit(cfg, 4))
             assert f(zk) <= f0 + 1e-6
 
 
@@ -267,6 +294,19 @@ def test_parallel_samplers():
     assert res.f_hat == min(r.f for r in res.records)
     res2 = _run(inst, config, 4)
     assert np.array_equal(res.x_hat, res2.x_hat)
+
+
+def test_config_topology_must_match_fabric():
+    inst = generate_instance(16, 4, C16, 9.0, 27)
+    config = DetectorConfig(sampling_iterations=3, batch_size=2, seed=9, topology="daisy_chain")
+    star = Fabric(partition(inst.H, inst.y, 4))
+    with pytest.raises(ConfigError, match="daisy_chain config on a star fabric"):
+        mini_nag_mcmc_detect(inst, config, star, C16)
+    # the centralized detector runs a daisy-chain config on its star fabric, as star m = C
+    cen = nag_mcmc_detect(inst, config, C16, clusters=4, trial=2)
+    mini = _run(inst, replace(config, batch_size=4, topology="star"), 4, trial=2)
+    assert np.array_equal(cen.x_hat, mini.x_hat)
+    assert trace_csv(cen.records) == trace_csv(mini.records)
 
 
 def test_batch_size_must_divide_clusters():

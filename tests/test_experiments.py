@@ -1,6 +1,7 @@
 """Harness behavior: stopping, reproducibility, reports, config parsing."""
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ def test_paired_trials_spawn_pool_matches_serial(monkeypatch):
     spawned = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=2)
     assert pools == [(2,)]
     assert np.array_equal(serial["mini"], spawned["mini"])
+
+
+_BER_BLOCK = experiments._ber_block
+
+
+def _logged_ber_block(args):
+    """``_ber_block`` that first appends its block index to $DBPDET_BLOCK_LOG (worker-safe)."""
+    with open(os.environ["DBPDET_BLOCK_LOG"], "a") as log:
+        log.write(f"{args[-1]}\n")
+    return _BER_BLOCK(args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_paired_trials_start_only_needed_blocks(workers, tmp_path, monkeypatch):
+    system = SystemSpec(16, 4, 4, 16)
+    dets = {"lmmse": DetectorSpec(LMMSE)}
+    reference = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=1)
+    log = tmp_path / "blocks.log"
+    monkeypatch.setenv("DBPDET_BLOCK_LOG", str(log))
+    monkeypatch.setattr(experiments, "_ber_block", _logged_ber_block)
+    res = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=workers)
+    assert np.array_equal(res["lmmse"], reference["lmmse"])
+    assert sorted(map(int, log.read_text().split())) == [0, 1, 2]  # ceil(130 / 64) blocks
 
 
 def test_convergence_prefix_matches_direct_runs():

@@ -14,11 +14,12 @@ from dbpdet.fabric import (DOWN, REAL, SCALAR, SYMBOL, UP, Fabric, MessageLedger
 from dbpdet.modem import build_constellation
 
 
-def _fabric(n_ant=8, n_users=3, n_clusters=4, seed=13, kind="star", ledger=None):
+def _fabric(n_ant=8, n_users=3, n_clusters=4, seed=13, kind="star", ledger=None,
+            counters=None):
     const = build_constellation(16)
     inst = generate_instance(n_ant, n_users, const, snr_db=10.0, master_seed=seed)
     clustered = partition(inst.H, inst.y, n_clusters)
-    return inst, Fabric(clustered, Topology(kind, n_clusters), ledger=ledger)
+    return inst, Fabric(clustered, Topology(kind, n_clusters), ledger=ledger, counters=counters)
 
 
 def test_topology_links():
@@ -34,14 +35,14 @@ def test_topology_links():
 
 def test_topology_routing():
     chain = Topology("daisy_chain", 4)
-    # reaching du2 and du4 means every link from du2 up to the CU
-    assert chain.broadcast_links([1, 3]) == ["du2-du3", "du3-du4", "du4-cu"]
-    assert chain.upload_links([1, 3]) == ["du2-du3", "du3-du4", "du4-cu"]
-    assert chain.broadcast_links([3]) == ["du4-cu"]
+    # reaching du2 and du4, in either direction, means every link from du2 up to the CU
+    assert chain.upload_links([3, 1]) == ["du2-du3", "du3-du4", "du4-cu"]
+    assert chain.upload_links([3]) == ["du4-cu"]
     star = Topology("star", 4)
-    assert star.broadcast_links([0, 2]) == ["cu-du1", "cu-du3"]
-    with pytest.raises(ConfigError):
-        star.broadcast_links([])
+    assert star.upload_links([2, 0]) == ["cu-du1", "cu-du3"]
+    for topology in (chain, star):
+        with pytest.raises(ConfigError):
+            topology.upload_links([])
 
 
 def test_ledger_widths_and_totals():
@@ -130,20 +131,26 @@ def test_gram_diag_examples():
 def test_aggregate_single_du_star_charges_one_link():
     ledger = MessageLedger(real_bits=16, symbol_bits=4)
     inst, fabric = _fabric(ledger=ledger)
-    p = np.zeros(3, complex)
-    fabric.gradient_sum(p, [2])
-    assert ledger.bits(link="cu-du3", direction=UP, payload_class=REAL) == 2 * 3 * 16
-    assert ledger.bits() == 2 * 3 * 16
+    fabric.charge_detection(np.array([[2]]), 1, {})
+    # the point goes down and the gradient comes up cu-du3 and no other link
+    for direction in (UP, DOWN):
+        assert ledger.bits(link="cu-du3", direction=direction, payload_class=REAL) == 2 * 3 * 16
+        assert ledger.bits(direction=direction, payload_class=REAL) == 2 * 3 * 16
+    # every link carries the Gram diagonal and one objective up, one symbol vector down
+    for link in fabric.topology.links():
+        assert ledger.bits(link=link, payload_class=SCALAR) == (3 + 1) * 16
+        assert ledger.bits(link=link, payload_class=SYMBOL) == 3 * 4
 
 
 def test_chain_aggregate_path_accumulation():
     ledger = MessageLedger(real_bits=16, symbol_bits=4)
     inst, fabric = _fabric(kind="daisy_chain", ledger=ledger)
     g = fabric.gradient_sum(np.zeros(3, complex), [0, 3])
+    fabric.charge_detection(np.array([[0, 3], [0, 3]]), 1, {})
     # contributors du1 and du4: every link between du1 and the CU carries
-    # exactly one gradient-sized message
+    # exactly one gradient-sized message per aggregation
     for link in ("du1-du2", "du2-du3", "du3-du4", "du4-cu"):
-        assert ledger.bits(link=link, direction=UP) == 2 * 3 * 16
+        assert ledger.bits(link=link, direction=UP, payload_class=REAL) == 2 * 2 * 3 * 16
     partial = np.zeros(3, complex)
     for c in (0, 3):
         Hc = inst.H[2 * c:2 * c + 2]
@@ -164,6 +171,26 @@ def test_broadcast_charges():
     chain.broadcast_symbols(3)
     for link in chain.topology.links():
         assert chain_ledger.bits(link=link, payload_class=SYMBOL) == 3 * 4
+
+
+def test_collectives_charge_nothing():
+    ledger, counters = MessageLedger(real_bits=16, symbol_bits=4), OpCounters(4)
+    inst, fabric = _fabric(kind="daisy_chain", ledger=ledger, counters=counters)
+    fabric.gradient_sum(np.ones(3, complex), range(4))
+    fabric.objective_sum(build_constellation(16).points[:3])
+    fabric.collect_gram_diag_sum()
+    assert ledger.to_csv() == "link,direction,class,bits\n"
+    assert counters.du_totals().tolist() == [0, 0, 0, 0] and counters.cu_total() == 0
+
+
+def test_charge_detection_counters():
+    counters = OpCounters(4)
+    inst, fabric = _fabric(n_ant=8, n_users=3, counters=counters)  # B_c = 2, U = 3
+    fabric.charge_detection(np.array([[0, 2], [2, 3], [2, 3]]), 4, {"gd": 5, "sampling": 7})
+    assert counters.du["preprocessing"].tolist() == [2 * 2 * 3] * 4
+    assert counters.du["gd"].tolist() == [8 * 2 * 3 * n for n in (1, 0, 3, 2)]
+    assert counters.du["sampling"].tolist() == [4 * (4 * 2 * 3 + 2 * 2 + 1)] * 4
+    assert counters.cu == {"preprocessing": 0, "gd": 5, "sampling": 7}
 
 
 @settings(max_examples=40, deadline=None)
