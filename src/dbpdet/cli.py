@@ -132,7 +132,7 @@ def _cmd_convergence(args) -> int:
     spec = _resolve_spec(args)
     mini = next((d for d in spec.detectors.values()
                  if d.kind == experiments.MINI_NAG_MCMC), None)
-    base = mini.config if mini else DetectorConfig(sampling_iterations=max(args.s_grid),
+    base = mini.config if mini else DetectorConfig(sampling_iterations=max(args.s_grid, default=0),
                                                    seed=spec.seed)
     rows, _ = experiments.run_convergence(spec.system, base, args.m_grid, args.s_grid,
                                           args.snr, args.trials, seed=spec.seed,

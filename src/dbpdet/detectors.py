@@ -18,7 +18,6 @@ decisions bit-identical to the mini-batch sampler at m = C by
 construction.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ from . import rng as rngmod
 from .channel import MimoInstance, partition
 from .errors import CapacityError, ConfigError, DegenerateChannelError, NumericInputError
 from .fabric import Fabric
-from .modem import Constellation, build_constellation, qam_map
+from .modem import Constellation, qam_map
 
 EXACT_GRAM_FNORM = "exact_gram_fnorm"
 DIAG_APPROX = "diag_approx"
@@ -293,76 +292,75 @@ def lmmse_detect(instance: MimoInstance, constellation: Constellation) -> np.nda
     return qam_map(lmmse_estimate(instance), constellation)
 
 
-ML_CAP = 2 ** 20  # largest lattice ml_brute_force enumerates by default
+ML_NODES = 10 ** 6  # search nodes one ml_brute_force call may visit
+_ML_SLACK = 1e-9    # relative and absolute slack of the float search radius
 
 
-def _lattice_indices(order: int, n_users: int) -> np.ndarray:
-    """(order^U, U) symbol indices of every lattice vector, lexicographic order.
+def ml_brute_force(instance: MimoInstance, constellation: Constellation) -> np.ndarray:
+    """Exact maximum-likelihood decision by Schnorr-Euchner sphere decoding.
 
-    U = 0 gives the single empty vector, shape (1, 0).
+    The search runs on the real QR form of ||y - Hx||^2 in odd-integer
+    levels (the metric times normalizer^2), with the dimensions ordered
+    (Re x_0, Im x_0, Re x_1, ...) so that level-index order is
+    lexicographic symbol order.  2U zero rows stacked under the real
+    channel keep R square when H is wide and change no distance.  The
+    search is depth first from an infinite radius and tries the children
+    of level k nearest first by (e_k - r_kk l)^2, with
+    e_k = z_k - sum_{i>k} r_ki s_i, so the first leaf is the Babai point
+    and a zero r_kk just means equal steps.  A float QR cannot decide
+    exact ties: the radius keeps a slack of ``_ML_SLACK`` and every leaf
+    inside it is rescored with the expanded metric x^H G x - 2 Re(x^H w),
+    w = normalizer H^H y (exact for an integer-valued G with y = 0).
+    Among the minima the smallest lexicographic index wins.  The cost
+    depends on the SNR and the channel, not on the lattice size; past
+    ``ML_NODES`` visited nodes the search raises CapacityError.
     """
-    powers = order ** np.arange(n_users - 1, -1, -1)
-    return np.arange(order ** n_users)[:, None] // powers % order
+    H = instance.H
+    n_ant, n = H.shape[0], 2 * instance.n_users
+    real = np.zeros((2 * n_ant + n, n))
+    real[:n_ant, 0::2] = H.real
+    real[:n_ant, 1::2] = -H.imag
+    real[n_ant:2 * n_ant, 0::2] = H.imag
+    real[n_ant:2 * n_ant, 1::2] = H.real
+    q, r = np.linalg.qr(real)
+    target = constellation.normalizer * np.concatenate([instance.y.real, instance.y.imag])
+    z = (q[:2 * n_ant].T @ target).tolist()
+    r = r.tolist()
+    levels = constellation.levels_int.tolist()
+    s, picks, dist = [0] * n, [0] * n, [0.0] * (n + 1)  # level, its index, partial distance
 
+    def nearest_first(k):
+        e = z[k] - sum(r[k][i] * s[i] for i in range(k + 1, n))
+        return iter(sorted(((e - r[k][k] * lv) ** 2, j) for j, lv in enumerate(levels)))
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    children = [None] * (n - 1) + [nearest_first(n - 1)]
+    limit, leaves, nodes, k = math.inf, [], 0, n - 1
+    while k < n:
+        child = next(children[k], None)
+        if child is None or dist[k + 1] + child[0] > limit:
+            k += 1  # nearest first: the remaining children are farther still
+            continue
+        nodes += 1
+        if nodes > ML_NODES:
+            raise CapacityError(f"ML search visited more than {ML_NODES} nodes")
+        cost, j = child
+        picks[k], s[k] = j, levels[j]
+        dist[k] = dist[k + 1] + cost
+        if k == 0:
+            limit = min(limit, dist[0] * (1.0 + _ML_SLACK) + _ML_SLACK)
+            leaves.append((dist[0], tuple(picks)))
+        else:
+            k -= 1
+            children[k] = nearest_first(k)
 
-
-@functools.lru_cache(maxsize=4)
-def _candidate_matrix(order: int, n_users: int) -> np.ndarray:
-    """Every lattice vector in lexicographic index order (cached, read-only)."""
-    return _frozen(build_constellation(order).points[_lattice_indices(order, n_users)])
-
-
-@functools.lru_cache(maxsize=4)
-def _level_lattice(order: int, n_users: int) -> np.ndarray:
-    """:func:`_candidate_matrix` in odd-integer levels (points times the normalizer)."""
-    return _frozen(build_constellation(order).points_int[_lattice_indices(order, n_users)])
-
-
-def _half_scores(half: np.ndarray, gram: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x^H G x - 2 Re(x^H w) for every row x of ``half``."""
-    quad = np.einsum("nu,nu->n", half.conj(), half @ gram.T).real
-    return quad - 2.0 * (half @ w.conj()).real
-
-
-def ml_brute_force(instance: MimoInstance, constellation: Constellation,
-                   cap: int = ML_CAP) -> np.ndarray:
-    """Exact maximum-likelihood decision by split enumeration of the lattice.
-
-    Candidates are ranked by the expanded metric x^H G x - 2 Re(x^H H^H y)
-    (same argmin as ||y - Hx||^2), evaluated in odd-integer levels (the
-    metric times normalizer^2) so that an integer-valued G with y = 0
-    scores exactly.  The users split into a high half ``a`` (the first
-    ceil(U/2)) and a low half ``b``.  Each half is scored once, and one
-    real (M^|a|, 2 + 2|b|) @ (2 + 2|b|, M^|b|) product adds the two half
-    scores to the cross term 2 Re(a^H G_ab b) for every pair, giving the
-    order^U scores of x = [a; b] as a matrix whose flat index i M^|b| + j
-    is the lexicographic symbol index: argmin's first hit gives ties to
-    the smallest index.  Memory: that order^U float score matrix plus
-    the cached half-lattices (M^|a| and M^|b| rows).  The cap is checked
-    before anything is allocated.
-    """
-    n_users = instance.n_users
-    order = constellation.order
-    if order ** n_users > cap:
-        raise CapacityError(f"{order}^{n_users} candidates exceed the cap {cap}")
-    n_a = (n_users + 1) // 2
-    a = _level_lattice(order, n_a)
-    b = _level_lattice(order, n_users - n_a)
-    gram = instance.H.conj().T @ instance.H
-    w = constellation.normalizer * (instance.H.conj().T @ instance.y)
-    p = a.conj() @ gram[:n_a, n_a:]  # row i: a_i^H G_ab
-    # scores[i, j] = q_a[i] + q_b[j] + 2 Re(p_i b_j) as one real product
-    left = np.column_stack([_half_scores(a, gram[:n_a, :n_a], w[:n_a]), np.ones(len(a)),
-                            2.0 * p.real, -2.0 * p.imag])
-    right = np.column_stack([np.ones(len(b)), _half_scores(b, gram[n_a:, n_a:], w[n_a:]),
-                             b.real, b.imag])
-    scores = left @ right.T
-    digits = np.unravel_index(int(np.argmin(scores)), (order,) * n_users)
-    return constellation.points[list(digits)]
+    kept = np.array(sorted(p for d, p in leaves if d <= limit))  # lexicographic order
+    odd = constellation.levels_int
+    x = odd[kept[:, 0::2]] + 1j * odd[kept[:, 1::2]]
+    gram = H.conj().T @ H
+    w = constellation.normalizer * (H.conj().T @ instance.y)
+    scores = np.einsum("ku,ku->k", x.conj(), x @ gram.T).real - 2.0 * (x @ w.conj()).real
+    best = kept[int(np.argmin(scores))]
+    return constellation.points[best[0::2] * len(levels) + best[1::2]]
 
 
 def trace_csv(records: list[SampleRecord]) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import ClusteredChannel, generate_instance, partition
-from .detectors import _candidate_matrix, learning_rate, mini_batch_gradient
+from .detectors import learning_rate, mini_batch_gradient
 from .errors import CapacityError, MappingError, UsageError
 from .fabric import Fabric, batch_hessian
 from .modem import Constellation, build_constellation, symbol_indices
@@ -33,13 +33,13 @@ ENUM_CAP = 2 ** 20
 MATRIX_STATE_BITS_CAP = 12  # at most 4096 states for transition matrices
 
 
-def lattice_states(constellation: Constellation, n_users: int,
-                   cap: int = ENUM_CAP) -> np.ndarray:
-    """All lattice vectors in lexicographic index order."""
-    if constellation.order ** n_users > cap:
-        raise CapacityError(
-            f"{constellation.order}^{n_users} states exceed the cap {cap}")
-    return _candidate_matrix(constellation.order, n_users)
+def lattice_states(constellation: Constellation, n_users: int) -> np.ndarray:
+    """All lattice vectors in lexicographic index order; U = 0 gives one empty vector."""
+    order = constellation.order
+    if order ** n_users > ENUM_CAP:
+        raise CapacityError(f"{order}^{n_users} states exceed the cap {ENUM_CAP}")
+    powers = order ** np.arange(n_users - 1, -1, -1)
+    return constellation.points[np.arange(order ** n_users)[:, None] // powers % order]
 
 
 def _log_posterior(clustered: ClusteredChannel, states: np.ndarray) -> np.ndarray:
@@ -75,12 +75,12 @@ def _lattice_index(x: np.ndarray, constellation: Constellation) -> int:
 
 def _log_proposals(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                    batch, batch_size: int, gamma: float, tau: float,
-                   constellation: Constellation, cap: int):
+                   constellation: Constellation):
     """(states, i, j, log q(x' | x), log q(x | x')) for one mini-batch realization.
 
     ``i`` and ``j`` are the lattice indices of x and x' in ``states``.
     """
-    states = lattice_states(constellation, x.shape[0], cap)
+    states = lattice_states(constellation, x.shape[0])
     i = _lattice_index(x, constellation)
     j = _lattice_index(x_prime, constellation)
     fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
@@ -90,9 +90,9 @@ def _log_proposals(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarr
 
 def proposal_probability(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                          batch, batch_size: int, gamma: float, tau: float,
-                         constellation: Constellation, cap: int = ENUM_CAP) -> float:
+                         constellation: Constellation) -> float:
     """Exact discrete proposal probability q(x' | x); 0 off the lattice."""
-    states = lattice_states(constellation, x.shape[0], cap)
+    states = lattice_states(constellation, x.shape[0])
     try:
         j = _lattice_index(x_prime, constellation)
     except MappingError:
@@ -103,23 +103,23 @@ def proposal_probability(clustered: ClusteredChannel, x: np.ndarray, x_prime: np
 
 def proposal_ratio(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                    batch, batch_size: int, gamma: float, tau: float,
-                   constellation: Constellation, cap: int = ENUM_CAP) -> float:
+                   constellation: Constellation) -> float:
     """q(x | x') / q(x' | x), evaluated in log space for stability."""
     *_, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size, gamma, tau,
-                                  constellation, cap)
+                                  constellation)
     return float(np.exp(bwd - fwd))
 
 
 def exact_mh_acceptance(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
                         batch, batch_size: int, gamma: float, tau: float,
-                        constellation: Constellation, cap: int = ENUM_CAP):
+                        constellation: Constellation):
     """(alpha_exact, alpha_implemented) for the move x -> x'.
 
     The exact criterion keeps the proposal ratio; the implemented one
     omits it and uses only the posterior ratio.
     """
     states, i, j, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size,
-                                            gamma, tau, constellation, cap)
+                                            gamma, tau, constellation)
     logpi_i, logpi_j = _log_posterior(clustered, states[[i, j]])
     alpha_exact = math.exp(min(0.0, logpi_j - logpi_i + bwd - fwd))
     alpha_implemented = math.exp(min(0.0, logpi_j - logpi_i))

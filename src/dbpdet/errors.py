@@ -22,7 +22,12 @@ class DegenerateChannelError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """A search or enumeration outgrew its fixed work bound.
+
+    Raised when the ML sphere decoder visits more than ``ML_NODES``
+    nodes, and when a diagnostic would enumerate more lattice states
+    than its cap.
+    """
 
 
 class UsageError(ValueError):

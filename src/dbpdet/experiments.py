@@ -21,8 +21,8 @@ import numpy as np
 
 from . import fabric as fb
 from .channel import generate_instance, partition
-from .detectors import (ML_CAP, DetectorConfig, lmmse_detect, mini_nag_mcmc_detect,
-                        ml_brute_force, nag_mcmc_detect)
+from .detectors import (DetectorConfig, lmmse_detect, mini_nag_mcmc_detect, ml_brute_force,
+                        nag_mcmc_detect)
 from .errors import ConfigError, UsageError
 from .fabric import (Fabric, MessageLedger, OpCounters, Topology,
                      centralized_transfer, predicted_bandwidth)
@@ -90,11 +90,6 @@ class ExperimentSpec:
             raise ConfigError("SNR grid must be nonempty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        order, n_users = self.system.mod_order, self.system.n_users
-        for name, det in self.detectors.items():
-            if det.kind == ML and order ** n_users > ML_CAP:
-                raise ConfigError(f"detector {name!r}: ML over {order}^{n_users} "
-                                  f"candidates exceeds the cap {ML_CAP}")
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +320,8 @@ def run_convergence(system: SystemSpec, base_config: DetectorConfig, m_grid,
     grid (common random numbers).
     """
     m_grid, s_grid = list(m_grid), sorted(s_grid)
+    if n_trials < 1 or not m_grid or not s_grid:
+        raise ConfigError("convergence needs at least one trial and nonempty m and S grids")
     blocks = _first_blocks(_convergence_block,
                            (system, base_config, m_grid, s_grid, snr_db, seed),
                            workers, n_trials)

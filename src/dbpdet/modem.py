@@ -32,7 +32,7 @@ class Constellation:
 
     ``points`` is ordered by lexicographic symbol index
     ``i = i_I * sqrt(M) + i_Q`` with level indices ascending, which is
-    the tie-break order used by the exhaustive ML search.
+    the tie-break order used by the ML search.
     """
 
     order: int
@@ -48,12 +48,6 @@ class Constellation:
     def levels_int(self) -> np.ndarray:
         """Unnormalized integer levels (-(L-1), ..., -1, 1, ..., L-1)."""
         return np.arange(-(self.levels.size - 1), self.levels.size, 2)
-
-    @property
-    def points_int(self) -> np.ndarray:
-        """Unnormalized points (odd-integer coordinates) in ``points`` order."""
-        lv = self.levels_int
-        return (lv[:, None] + 1j * lv[None, :]).reshape(-1)
 
 
 def build_constellation(order: int) -> Constellation:

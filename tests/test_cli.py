@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
-from dbpdet import experiments
+from dbpdet import detectors, experiments
+from dbpdet.channel import generate_instance
 from dbpdet.cli import main
+from dbpdet.errors import CapacityError
+from dbpdet.modem import build_constellation
 
 CONFIG = """
 [system]
@@ -50,16 +53,46 @@ def test_validate_config_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_ml_over_cap_rejected_at_parse(tmp_path, capsys):
+ML_CONFIG = """
+[system]
+n_ant = 32
+n_users = 8
+n_clusters = 8
+mod_order = 16
+
+[sweep]
+snr_db = 6
+max_bits = 2048
+seed = 2
+
+[detector:ml]
+kind = ml
+
+[detector:lmmse]
+kind = lmmse
+"""
+
+
+def test_ml_runs_at_fig4_scale(tmp_path, capsys):
     path = tmp_path / "ml.ini"
-    path.write_text(CONFIG.replace("n_users = 2", "n_users = 6").replace("mod_order = 4",
-                                                                       "mod_order = 16")
-                    + "\n[detector:ml]\nkind = ml\n")
-    for argv in (["validate-config", "--config", str(path)],
-                 ["ber", "--config", str(path), "--out", str(tmp_path / "out")]):
-        assert main(argv) == 1
-        assert "16^6 candidates exceeds the cap" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    path.write_text(ML_CONFIG)
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert "ok: 2 detector(s), system 32x8" in capsys.readouterr().out
+    assert main(["ber", "--config", str(path)]) == 0  # one 64-trial block of 32 bits each
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["ml", "6", "2048"], ["lmmse", "6", "2048"]]
+
+
+def test_ml_node_budget_exceeded_exits_2(config_path, monkeypatch, capsys):
+    monkeypatch.setattr(detectors, "ML_NODES", 2)
+    const = build_constellation(4)
+    with pytest.raises(CapacityError, match="more than 2 nodes"):
+        detectors.ml_brute_force(generate_instance(8, 2, const, 6.0, 2), const)
+    with open(config_path, "a") as fh:
+        fh.write("\n[detector:ml]\nkind = ml\n")
+    assert main(["ber", "--config", config_path]) == 2
+    assert capsys.readouterr().err == ("runtime error: CapacityError: ML search visited more "
+                                       "than 2 nodes (in block 0, trial 0)\n")
 
 
 def test_usage_errors(capsys):
@@ -146,6 +179,15 @@ def test_convergence_quick(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "m,S,snr_db,bits,bit_errors,ber"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"], ["--s-grid="],
+                                   ["--m-grid="]])
+def test_convergence_bad_input_exits_1(flags, capsys):
+    assert main(["convergence", "--preset", "fig3-desk", "--workers", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: convergence needs at least one trial")
 
 
 def test_diagnose_ok(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +15,7 @@ from dbpdet.detectors import (DetectorConfig, _chain_batches, learning_rate, lmm
                               lmmse_estimate, mh_accept, mini_batch_gradient,
                               mini_nag_mcmc_detect, ml_brute_force, momentum_schedule,
                               nag_mcmc_detect, nag_stage, propose_candidate, trace_csv)
-from dbpdet.errors import (CapacityError, ConfigError, DegenerateChannelError,
-                           NumericInputError)
+from dbpdet.errors import ConfigError, DegenerateChannelError, NumericInputError
 from dbpdet.fabric import Fabric, MessageLedger, Topology
 from dbpdet.modem import build_constellation, qam_map, symbol_indices
 
@@ -380,25 +378,6 @@ def test_ml_never_worse_than_sampler():
         assert f_ml <= res.f_hat + 1e-12
 
 
-def test_ml_capacity_cap():
-    inst = generate_instance(16, 6, C16, 9.0, 21)
-    with pytest.raises(CapacityError):
-        ml_brute_force(inst, C16, cap=2 ** 20)
-
-
-def test_ml_cap_raises_before_allocating():
-    inst = generate_instance(64, 12, C16, 9.0, 21)  # 16^12 candidates
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            ml_brute_force(inst, C16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # H^H alone would take 12 KiB, the Gram 2.3 KiB, a half-lattice far more
-    assert peak < 2048
-
-
 def _lattice_index_rows(order, n_users):
     """Symbol indices of every lattice vector, lexicographic order."""
     return np.indices((order,) * n_users).reshape(n_users, -1).T
@@ -427,6 +406,29 @@ def test_ml_split_matches_dense_reference(n_users, order, seed, snr_db):
     inst = generate_instance(n_users + 2, n_users, const, snr_db, seed)
     got = ml_brute_force(inst, const)
     assert _lex_index(got, const) == _lex_index(_dense_ml(inst, const), const)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, -5.0, 0.0, 4.0, 10.0, 20.0])
+def test_ml_four_qam_eight_users_matches_dense_reference(snr_db):
+    for seed in range(2):
+        inst = generate_instance(10, 8, C4, snr_db, 23 + seed)  # 4^8 = 65,536 rows
+        got = ml_brute_force(inst, C4)
+        assert _lex_index(got, C4) == _lex_index(_dense_ml(inst, C4), C4)
+
+
+@pytest.mark.parametrize("snr_db", [2.0, 12.0])
+def test_ml_objective_lowest_at_fig4_scale(snr_db):
+    def objective(inst, x):
+        return 0.5 * float(np.sum(np.abs(inst.y - inst.H @ x) ** 2))
+
+    config = DetectorConfig(sampling_iterations=16, batch_size=4, seed=24)
+    for trial in range(6):
+        inst = generate_instance(32, 8, C16, snr_db, 24, trial)
+        others = [_run(inst, config, 8, trial=trial).x_hat,
+                  nag_mcmc_detect(inst, config, C16, clusters=8, trial=trial).x_hat,
+                  lmmse_detect(inst, C16)]
+        f_ml = objective(inst, ml_brute_force(inst, C16))
+        assert all(f_ml <= objective(inst, x) * (1.0 + 1e-12) for x in others)
 
 
 def _exact_ties(H_int, const):
