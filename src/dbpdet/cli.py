@@ -32,6 +32,10 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _names(text):
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dbpdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="run the chain diagnostics suite")
     common(p)
-    p.add_argument("--checks", help="comma-separated subset of check names")
+    p.add_argument("--checks", type=_names, help="comma-separated subset of check names")
     p.add_argument("--inject-fault", choices=["acceptance"],
                    help="deliberately tamper the acceptance rule (self-test)")
 
@@ -169,12 +173,7 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    checks = [tok for tok in args.checks.split(",")] if args.checks is not None else None
-    if checks is not None:
-        checks = [tok for tok in checks if tok.strip()]
-        if not checks:
-            raise UsageError("--checks selected no diagnostics")
-    report = diagnostics.run_diagnostic_suite(checks=checks, fault=args.inject_fault)
+    report = diagnostics.run_diagnostic_suite(checks=args.checks, fault=args.inject_fault)
     text = diagnostics.report_json(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

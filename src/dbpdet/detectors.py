@@ -85,10 +85,24 @@ class SampleRecord:
 
 @dataclass
 class DetectionResult:
-    x_hat: np.ndarray
-    f_hat: float
     records: list[SampleRecord]
     tau: float
+
+    def decision(self, s: float = math.inf) -> SampleRecord:
+        """The best record with t <= s, earliest on ties: the run's decision at S = s.
+
+        The records with t <= s are those of the same run stopped at S = s, in
+        the same order, for any number of samplers.
+        """
+        return min((r for r in self.records if r.t <= s), key=lambda r: r.f)
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        return self.decision().x
+
+    @property
+    def f_hat(self) -> float:
+        return self.decision().f
 
 
 def momentum_schedule(n_iterations: int) -> np.ndarray:
@@ -242,16 +256,9 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
         records.extend(_run_chain(fabric, config, constellation, tau, x0, f0, rho,
                                   chain_batches, trial, p))
 
-    iterations = config.samplers * config.sampling_iterations
-    sqrt_m = int(round(math.sqrt(constellation.order)))
-    fabric.charge_detection(np.concatenate(batches).reshape(-1, config.batch_size), iterations + 1,
-                            {"preprocessing": n_users + 2,
-                             "gd": 4 * n_users * config.nag_iterations * iterations,
-                             "sampling": (4 * n_users + 2 * sqrt_m * n_users + 2) * iterations})
-
-    best = min(range(len(records)), key=lambda i: records[i].f)
-    return DetectionResult(x_hat=records[best].x, f_hat=records[best].f, records=records,
-                           tau=tau)
+    fabric.charge_detection(np.concatenate(batches).reshape(-1, config.batch_size),
+                            len(records), constellation.order)
+    return DetectionResult(records=records, tau=tau)
 
 
 def mini_nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,

@@ -292,6 +292,9 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
     """Run the built-in diagnostics; returns a JSON-ready report."""
     if fault not in (None, "acceptance"):
         raise UsageError(f"unknown fault injection {fault!r}")
+    wanted = None if checks is None else list(checks)
+    if wanted == []:
+        raise UsageError("empty diagnostic check selection")
     results = []
 
     def record(name, value, threshold, comparator, passed):
@@ -365,10 +368,7 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
     shrinking = all(a > b for a, b in zip(taus, taus[1:]))
     record("diag_tau_shrinks_with_users", taus, None, "decreasing", shrinking)
 
-    if checks is not None:
-        wanted = list(checks)
-        if not wanted:
-            raise UsageError("empty diagnostic check selection")
+    if wanted is not None:
         known = {r["name"] for r in results}
         missing = [w for w in wanted if w not in known]
         if missing:

@@ -62,6 +62,10 @@ class StoppingRule:
     max_bits: int = 50_000_000
     max_bit_errors: int = 1000
 
+    def crossed(self, bits, bit_errors):
+        """Whether a point with these totals has stopped; elementwise on arrays."""
+        return (bits >= self.max_bits) | (bit_errors > self.max_bit_errors)
+
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -97,18 +101,21 @@ class ExperimentSpec:
 # --------------------------------------------------------------------------
 
 def _detect_one(kind, config, system, constellation, instance, trial):
+    """The detector's decision as a function of S; LMMSE and ML have no S."""
     if kind == MINI_NAG_MCMC:
         fabric = Fabric(partition(instance.H, instance.y, system.n_clusters),
                         Topology(config.topology, system.n_clusters))
-        return mini_nag_mcmc_detect(instance, config, fabric, constellation, trial=trial).x_hat
-    if kind == NAG_MCMC:
-        return nag_mcmc_detect(instance, config, constellation,
-                               clusters=system.n_clusters, trial=trial).x_hat
-    if kind == LMMSE:
-        return lmmse_detect(instance, constellation)
-    if kind == ML:
-        return ml_brute_force(instance, constellation)
-    raise ConfigError(f"unknown detector kind {kind!r}")
+        result = mini_nag_mcmc_detect(instance, config, fabric, constellation, trial=trial)
+    elif kind == NAG_MCMC:
+        result = nag_mcmc_detect(instance, config, constellation,
+                                 clusters=system.n_clusters, trial=trial)
+    elif kind == LMMSE:
+        x_hat = lmmse_detect(instance, constellation)
+        return lambda s: x_hat
+    else:
+        x_hat = ml_brute_force(instance, constellation)
+        return lambda s: x_hat
+    return lambda s: result.decision(s).x
 
 
 @contextlib.contextmanager
@@ -122,49 +129,57 @@ def _locating(block: int, trial: int):
 
 
 def _ber_block(args):
-    system, detectors, snr_db, seed, block = args
+    """(BLOCK, columns, 2) bit and symbol errors of the block's trials.
+
+    ``columns`` lists (detector name, S) pairs: each detector runs once per
+    trial, and a sampler column scores the run's decision at S (the whole
+    run's at ``math.inf``).
+    """
+    system, detectors, columns, snr_db, seed, block = args
     constellation = build_constellation(system.mod_order)
-    out = {name: np.zeros((BLOCK, 2), dtype=np.int64) for name in detectors}
+    out = np.zeros((BLOCK, len(columns), 2), dtype=np.int64)
     for i in range(BLOCK):
         trial = block * BLOCK + i
         with _locating(block, trial):
             inst = generate_instance(system.n_ant, system.n_users, constellation,
                                      snr_db, seed, trial)
             true_bits = symbols_to_bits(inst.x_true, constellation)
-            for name, det in detectors.items():
-                x_hat = _detect_one(det.kind, det.config, system, constellation, inst, trial)
-                bits = symbols_to_bits(x_hat, constellation)
-                out[name][i, 0] = int(np.sum(bits != true_bits))
-                out[name][i, 1] = int(np.sum(x_hat != inst.x_true))
+            decide = {name: _detect_one(det.kind, det.config, system, constellation, inst, trial)
+                      for name, det in detectors.items()}
+            for col, (name, s) in enumerate(columns):
+                x_hat = decide[name](s)
+                out[i, col, 0] = int(np.sum(symbols_to_bits(x_hat, constellation) != true_bits))
+                out[i, col, 1] = int(np.sum(x_hat != inst.x_true))
     return out
 
 
-def _run_blocks(worker_fn, args, workers, stop_fn, n_blocks=None):
-    """Feed blocks 0, 1, ... to ``worker_fn((*args, block))``; stop when ``stop_fn`` says so.
+def _run_blocks(args, workers, n_trials=None, stop=lambda blocks: False):
+    """(trials, columns, 2) errors from ``_ber_block((*args, b))`` for b = 0, 1, ...
 
-    No block from ``n_blocks`` on is submitted.  Blocks are consumed
-    strictly in index order, so scheduling and worker count never affect
-    which trials contribute.
+    Either the first ``n_trials`` trials, and no block past them is
+    submitted, or whole blocks until ``stop(blocks so far)`` holds.  Blocks
+    are consumed strictly in index order, so scheduling and worker count
+    never affect which trials contribute.
     """
-    blocks = itertools.count() if n_blocks is None else iter(range(n_blocks))
+    indices = (itertools.count() if n_trials is None
+               else iter(range(math.ceil(n_trials / BLOCK))))
+    blocks = []
     if workers <= 1:
-        for block in blocks:
-            if stop_fn(worker_fn((*args, block))):
-                return
-        return
-    with multiprocessing.Pool(workers) as pool:
-        pending = [pool.apply_async(worker_fn, ((*args, b),))
-                   for b in itertools.islice(blocks, workers)]
-        while pending and not stop_fn(pending.pop(0).get()):
-            pending += [pool.apply_async(worker_fn, ((*args, b),))
-                        for b in itertools.islice(blocks, 1)]
-
-
-def _first_blocks(worker_fn, args, workers, n_trials):
-    """Results of blocks 0 .. ceil(n_trials / BLOCK) - 1, in block order."""
-    collected = []
-    _run_blocks(worker_fn, args, workers, collected.append, math.ceil(n_trials / BLOCK))
-    return collected
+        for b in indices:
+            blocks.append(_ber_block((*args, b)))
+            if stop(blocks):
+                break
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            pending = [pool.apply_async(_ber_block, ((*args, b),))
+                       for b in itertools.islice(indices, workers)]
+            while pending:
+                blocks.append(pending.pop(0).get())
+                if stop(blocks):
+                    break
+                pending += [pool.apply_async(_ber_block, ((*args, b),))
+                            for b in itertools.islice(indices, 1)]
+    return np.concatenate(blocks)[:n_trials]
 
 
 def wilson_interval(errors: int, total: int, z: float = 1.96):
@@ -200,40 +215,30 @@ def run_ber_sweep(spec: ExperimentSpec) -> list[BerPoint]:
     """BER/SER per (detector, SNR) with the stopping rule applied per pair."""
     system = spec.system
     bits_per_trial = system.bits_per_vector
+    columns = [(name, math.inf) for name in spec.detectors]
     rows: list[BerPoint] = []
     for snr in spec.snr_db:
-        per_det = {name: [] for name in spec.detectors}
-        trials = dict.fromkeys(spec.detectors, 0)
-        bit_errs = dict.fromkeys(spec.detectors, 0)
+        bit_errors = np.zeros(len(columns), dtype=np.int64)
 
-        def stop(block_res):
-            for name, arr in block_res.items():
-                per_det[name].append(arr)
-                trials[name] += arr.shape[0]
-                bit_errs[name] += int(arr[:, 0].sum())
+        def stop(blocks):
             # continue until every detector has crossed a boundary
-            return all(trials[name] * bits_per_trial >= spec.stopping.max_bits
-                       or bit_errs[name] > spec.stopping.max_bit_errors
-                       for name in per_det)
+            bit_errors[:] += blocks[-1][:, :, 0].sum(axis=0)
+            return spec.stopping.crossed(len(blocks) * BLOCK * bits_per_trial, bit_errors).all()
 
-        _run_blocks(_ber_block, (system, spec.detectors, snr, spec.seed), spec.workers, stop)
-
-        for name in spec.detectors:
-            arr = np.concatenate(per_det[name])
-            errs = arr[:, 0]
-            cum_err = np.cumsum(errs)
-            cum_bits = bits_per_trial * np.arange(1, errs.size + 1)
-            crossed = (cum_bits >= spec.stopping.max_bits) | (cum_err > spec.stopping.max_bit_errors)
-            last = int(np.argmax(crossed)) if crossed.any() else errs.size - 1
-            n_trials = last + 1
-            bit_errors = int(cum_err[last])
+        errors = _run_blocks((system, spec.detectors, columns, snr, spec.seed), spec.workers,
+                             stop=stop)
+        cum_errors = np.cumsum(errors, axis=0)  # (trials, columns, bit/symbol)
+        cum_bits = bits_per_trial * np.arange(1, len(errors) + 1)
+        crossed = spec.stopping.crossed(cum_bits[:, None], cum_errors[:, :, 0])
+        for col, name in enumerate(spec.detectors):
+            last = int(np.argmax(crossed[:, col]))  # the block-level stop implies one exists
             bits = int(cum_bits[last])
-            lo, hi = wilson_interval(bit_errors, bits)
+            bit_errs, symbol_errs = cum_errors[last, col].tolist()
+            lo, hi = wilson_interval(bit_errs, bits)
             rows.append(BerPoint(detector=name, snr_db=snr, bits=bits,
-                                 bit_errors=bit_errors, ber=bit_errors / bits,
-                                 ci_lo=lo, ci_hi=hi, symbols=n_trials * system.n_users,
-                                 symbol_errors=int(arr[:n_trials, 1].sum()),
-                                 trials=n_trials))
+                                 bit_errors=bit_errs, ber=bit_errs / bits,
+                                 ci_lo=lo, ci_hi=hi, symbols=(last + 1) * system.n_users,
+                                 symbol_errors=symbol_errs, trials=last + 1))
     if spec.out_dir:
         _write(spec.out_dir, "ber.csv", ber_csv(rows))
     return rows
@@ -260,43 +265,15 @@ def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
     """
     if unit not in ("bit", "symbol"):
         raise ConfigError(f"unknown error unit {unit!r}")
-    column = 0 if unit == "bit" else 1
-    blocks = _first_blocks(_ber_block, (system, detectors, snr_db, seed), workers, n_trials)
-    return {name: np.concatenate([b[name][:, column] for b in blocks])[:n_trials]
-            for name in detectors}
+    columns = [(name, math.inf) for name in detectors]
+    errors = _run_blocks((system, detectors, columns, snr_db, seed), workers,
+                         n_trials)[:, :, 0 if unit == "bit" else 1]
+    return {name: errors[:, col] for col, name in enumerate(detectors)}
 
 
 # --------------------------------------------------------------------------
 # convergence vs sampling iterations
 # --------------------------------------------------------------------------
-
-def _convergence_block(args):
-    system, base_config, m_grid, s_grid, snr_db, seed, block = args
-    constellation = build_constellation(system.mod_order)
-    s_max = max(s_grid)
-    out = np.zeros((BLOCK, len(m_grid), len(s_grid)), dtype=np.int64)
-    for i in range(BLOCK):
-        trial = block * BLOCK + i
-        with _locating(block, trial):
-            inst = generate_instance(system.n_ant, system.n_users, constellation,
-                                     snr_db, seed, trial)
-            true_bits = symbols_to_bits(inst.x_true, constellation)
-            for mi, m in enumerate(m_grid):
-                config = replace(base_config, batch_size=m, sampling_iterations=s_max)
-                fabric = Fabric(partition(inst.H, inst.y, system.n_clusters),
-                                Topology(config.topology, system.n_clusters))
-                result = mini_nag_mcmc_detect(inst, config, fabric, constellation, trial=trial)
-                best_f = math.inf
-                best_x = None
-                s_pos = {s: k for k, s in enumerate(s_grid)}
-                for rec in result.records:  # in-order: t = 0, 1, ..., s_max
-                    if rec.f < best_f:
-                        best_f, best_x = rec.f, rec.x
-                    if rec.t in s_pos:
-                        bits = symbols_to_bits(best_x, constellation)
-                        out[i, mi, s_pos[rec.t]] = int(np.sum(bits != true_bits))
-    return out
-
 
 @dataclass
 class ConvergencePoint:
@@ -313,27 +290,30 @@ def run_convergence(system: SystemSpec, base_config: DetectorConfig, m_grid,
                     workers: int = 1, out_dir: str | None = None):
     """BER versus sampling iterations for each batch size.
 
-    One chain per (trial, m) at the largest S supplies every smaller S:
-    a shorter run is exactly a prefix of a longer one because the
-    random streams are consumed in iteration order.  Identical channel,
-    noise, walk, and acceptance realizations are shared across the m
-    grid (common random numbers).
+    One run per (trial, m) at the largest S supplies every S in the grid,
+    scored at its decision at S (:meth:`DetectionResult.decision`): a
+    shorter run is exactly a prefix of a longer one because the random
+    streams are consumed in iteration order.  Identical channel, noise,
+    walk, and acceptance realizations are shared across the m grid
+    (common random numbers).
     """
     m_grid, s_grid = list(m_grid), sorted(s_grid)
-    if n_trials < 1 or not m_grid or not s_grid:
-        raise ConfigError("convergence needs at least one trial and nonempty m and S grids")
-    blocks = _first_blocks(_convergence_block,
-                           (system, base_config, m_grid, s_grid, snr_db, seed),
-                           workers, n_trials)
-    errors = np.concatenate(blocks)[:n_trials]  # (trials, m, s)
+    if n_trials < 1 or not m_grid or not s_grid or s_grid[0] < 0:
+        raise ConfigError("convergence needs at least one trial, nonempty m and S grids "
+                          "and S >= 0")
+    detectors = {m: DetectorSpec(MINI_NAG_MCMC, replace(base_config, batch_size=m,
+                                                        sampling_iterations=s_grid[-1]))
+                 for m in m_grid}
+    columns = [(m, s) for m in m_grid for s in s_grid]
+    errors = _run_blocks((system, detectors, columns, snr_db, seed), workers, n_trials)[:, :, 0]
     bits = n_trials * system.bits_per_vector
     rows = [ConvergencePoint(batch_size=m, sampling_iterations=s, snr_db=snr_db,
-                             bits=bits, bit_errors=int(errors[:, mi, si].sum()),
-                             ber=float(errors[:, mi, si].sum()) / bits)
-            for mi, m in enumerate(m_grid) for si, s in enumerate(s_grid)]
+                             bits=bits, bit_errors=int(errors[:, col].sum()),
+                             ber=float(errors[:, col].sum()) / bits)
+            for col, (m, s) in enumerate(columns)]
     if out_dir:
         _write(out_dir, "convergence.csv", convergence_csv(rows))
-    return rows, errors
+    return rows, errors.reshape(n_trials, len(m_grid), len(s_grid))  # (trials, m, S)
 
 
 def convergence_csv(rows: list[ConvergencePoint]) -> str:
@@ -390,8 +370,11 @@ def measured_cu_bits(point: dict, topology_kind: str, seed: int = 0) -> int:
 def run_bandwidth_report(points: list[dict], measure: bool = True, seed: int = 0,
                          out_dir: str | None = None) -> list[BandwidthRow]:
     """Closed-form interconnect bits per mode, optionally ledger-confirmed."""
+    if not points:
+        raise ConfigError("bandwidth report needs at least one point")
     rows = []
     for pt in points:
+        SystemSpec(pt["B"], pt["U"], pt["C"], pt["M"])  # raises ConfigError if impossible
         closed = {
             "centralized": predicted_bandwidth("centralized", n_ant=pt["B"],
                                                n_users=pt["U"], real_bits=pt["omega"]),

@@ -225,14 +225,15 @@ class Fabric:
         for lk in self.topology.upload_links(range(self.n_units)):
             self.ledger.charge(lk, DOWN, SYMBOL, n_symbols)
 
-    def charge_detection(self, batches: np.ndarray, n_objectives: int,
-                         cu_mults: dict[str, int]) -> None:
+    def charge_detection(self, batches: np.ndarray, n_objectives: int, mod_order: int) -> None:
         """Bill one detection, from its record, to the attached ledger and counters.
 
         ``batches`` has a row of unit indices per gradient aggregation (2U reals
         down to the batch, 2U up); ``n_objectives`` counts objective evaluations
         (U symbols down to all, a scalar up) after the Gram-diagonal upload (U
-        scalars); ``cu_mults`` maps a phase to the CU's multiplications.
+        scalars): the initial sample's and one per sampling iteration.  The CU
+        multiplies U + 2 times in preprocessing, 4U per aggregation and
+        4U + 2 sqrt(M) U + 2 per sampling iteration for QAM order ``mod_order``.
         """
         u = self.n_users
         if self.ledger is not None:
@@ -250,8 +251,10 @@ class Fabric:
                 self.counters.add_du("preprocessing", c, 2 * b_c * u)
                 self.counters.add_du("gd", c, 8 * b_c * u * int(aggregations[c]))
                 self.counters.add_du("sampling", c, n_objectives * (4 * b_c * u + 2 * b_c + 1))
-            for phase, mults in cu_mults.items():
-                self.counters.add_cu(phase, mults)
+            sqrt_m = int(round(np.sqrt(mod_order)))
+            self.counters.add_cu("preprocessing", u + 2)
+            self.counters.add_cu("gd", 4 * u * len(batches))
+            self.counters.add_cu("sampling", (4 * u + 2 * sqrt_m * u + 2) * (n_objectives - 1))
 
 
 def centralized_transfer(ledger: MessageLedger, n_ant: int, n_users: int) -> None:

@@ -163,6 +163,15 @@ def test_bandwidth_measured(capsys):
                       "# mini_chain share of centralized -> B=16: 46.2%"]
 
 
+@pytest.mark.parametrize("flags", [["--b-grid="], ["--b-grid", "30", "--c", "8"]])
+def test_bandwidth_impossible_points_exit_1(flags, capsys):
+    # an empty grid, and 30 antennas that 8 clusters do not divide
+    assert main(["bandwidth", "--no-measured", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_complexity_quick(capsys):
     code = main(["complexity", "--b", "16", "--u", "4", "--c", "4", "--s", "4",
                  "--m", "2"])
@@ -182,7 +191,7 @@ def test_convergence_quick(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"], ["--s-grid="],
-                                   ["--m-grid="]])
+                                   ["--m-grid="], ["--s-grid=-1,4"]])
 def test_convergence_bad_input_exits_1(flags, capsys):
     assert main(["convergence", "--preset", "fig3-desk", "--workers", "1", *flags]) == 1
     captured = capsys.readouterr()
@@ -207,6 +216,11 @@ def test_diagnose_fault_injection_exit_code(capsys):
 def test_diagnose_check_selection(capsys):
     assert main(["diagnose", "--checks", "stationary_tv_distance"]) == 0
     capsys.readouterr()
+    assert main(["diagnose", "--checks",
+                 "stationary_tv_distance, flat_posterior_uniform_tv ,"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == ["stationary_tv_distance",
+                                                     "flat_posterior_uniform_tv"]
     assert main(["diagnose", "--checks", ""]) == 1
     assert main(["diagnose", "--checks", "bogus"]) == 1
     capsys.readouterr()

@@ -143,26 +143,32 @@ def test_paired_trials_start_only_needed_blocks(workers, tmp_path, monkeypatch):
     assert sorted(map(int, log.read_text().split())) == [0, 1, 2]  # ceil(130 / 64) blocks
 
 
-def test_convergence_prefix_matches_direct_runs():
+@pytest.mark.parametrize("samplers", [1, 3])
+def test_convergence_prefix_matches_direct_runs(samplers):
+    # every S column, a repeated one included, equals a direct S-run
     system = SystemSpec(16, 4, 4, 16)
-    base = DetectorConfig(sampling_iterations=6, batch_size=2, seed=4)
-    rows, errors = run_convergence(system, base, m_grid=[2], s_grid=[2, 6],
-                                   snr_db=8.0, n_trials=40, seed=4, workers=1)
-    # direct short runs must agree with prefixes of the long run
+    base = DetectorConfig(sampling_iterations=6, batch_size=2, samplers=samplers, seed=4)
+    s_grid = [1, 2, 2, 6]
+    rows, errors = run_convergence(system, base, m_grid=[2], s_grid=s_grid,
+                                   snr_db=6.0, n_trials=64, seed=4, workers=1)
     from dbpdet.channel import generate_instance, partition
     from dbpdet.detectors import mini_nag_mcmc_detect
     from dbpdet.fabric import Fabric, Topology
     from dbpdet.modem import build_constellation, symbols_to_bits
     const = build_constellation(16)
     import dataclasses
-    for trial in range(6):
-        inst = generate_instance(16, 4, const, 8.0, 4, trial)
-        cfg = dataclasses.replace(base, sampling_iterations=2)
-        fab = Fabric(partition(inst.H, inst.y, 4), Topology("star", 4))
-        res = mini_nag_mcmc_detect(inst, cfg, fab, const, trial=trial)
-        errs = int(np.sum(symbols_to_bits(res.x_hat, const)
-                          != symbols_to_bits(inst.x_true, const)))
-        assert errs == errors[trial, 0, 0]
+    direct = np.zeros((64, len(s_grid)), dtype=np.int64)
+    for trial in range(64):
+        inst = generate_instance(16, 4, const, 6.0, 4, trial)
+        for si, s in enumerate(s_grid):
+            cfg = dataclasses.replace(base, sampling_iterations=s)
+            fab = Fabric(partition(inst.H, inst.y, 4), Topology("star", 4))
+            res = mini_nag_mcmc_detect(inst, cfg, fab, const, trial=trial)
+            direct[trial, si] = np.sum(symbols_to_bits(res.x_hat, const)
+                                       != symbols_to_bits(inst.x_true, const))
+    assert np.array_equal(errors[:, 0, :], direct)
+    assert [r.bit_errors for r in rows] == direct.sum(axis=0).tolist()
+    assert direct[:, 0].sum() > direct[:, -1].sum()  # the short runs do make errors
 
 
 def test_tiny_instance_sampler_ser_near_ml():

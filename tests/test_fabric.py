@@ -131,7 +131,7 @@ def test_gram_diag_examples():
 def test_aggregate_single_du_star_charges_one_link():
     ledger = MessageLedger(real_bits=16, symbol_bits=4)
     inst, fabric = _fabric(ledger=ledger)
-    fabric.charge_detection(np.array([[2]]), 1, {})
+    fabric.charge_detection(np.array([[2]]), 1, 16)
     # the point goes down and the gradient comes up cu-du3 and no other link
     for direction in (UP, DOWN):
         assert ledger.bits(link="cu-du3", direction=direction, payload_class=REAL) == 2 * 3 * 16
@@ -146,7 +146,7 @@ def test_chain_aggregate_path_accumulation():
     ledger = MessageLedger(real_bits=16, symbol_bits=4)
     inst, fabric = _fabric(kind="daisy_chain", ledger=ledger)
     g = fabric.gradient_sum(np.zeros(3, complex), [0, 3])
-    fabric.charge_detection(np.array([[0, 3], [0, 3]]), 1, {})
+    fabric.charge_detection(np.array([[0, 3], [0, 3]]), 1, 16)
     # contributors du1 and du4: every link between du1 and the CU carries
     # exactly one gradient-sized message per aggregation
     for link in ("du1-du2", "du2-du3", "du3-du4", "du4-cu"):
@@ -186,11 +186,13 @@ def test_collectives_charge_nothing():
 def test_charge_detection_counters():
     counters = OpCounters(4)
     inst, fabric = _fabric(n_ant=8, n_users=3, counters=counters)  # B_c = 2, U = 3
-    fabric.charge_detection(np.array([[0, 2], [2, 3], [2, 3]]), 4, {"gd": 5, "sampling": 7})
+    fabric.charge_detection(np.array([[0, 2], [2, 3], [2, 3]]), 4, 16)
     assert counters.du["preprocessing"].tolist() == [2 * 2 * 3] * 4
     assert counters.du["gd"].tolist() == [8 * 2 * 3 * n for n in (1, 0, 3, 2)]
     assert counters.du["sampling"].tolist() == [4 * (4 * 2 * 3 + 2 * 2 + 1)] * 4
-    assert counters.cu == {"preprocessing": 0, "gd": 5, "sampling": 7}
+    # three aggregations and three sampling iterations at the CU, sqrt(M) = 4
+    assert counters.cu == {"preprocessing": 3 + 2, "gd": 3 * 4 * 3,
+                           "sampling": 3 * (4 * 3 + 2 * 4 * 3 + 2)}
 
 
 @settings(max_examples=40, deadline=None)
