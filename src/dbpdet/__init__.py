@@ -9,10 +9,9 @@ diagnostics on tiny instances.
 from .channel import (ClusteredChannel, MimoInstance, generate_instance,
                       generate_rayleigh, load_channel_file, noise_variance_from_snr,
                       partition, save_channel_file)
-from .detectors import (DetectorConfig, DetectionResult, SampleRecord,
-                        learning_rate, lmmse_detect, lmmse_estimate, mh_accept,
-                        mini_batch_gradient, mini_nag_mcmc_detect, ml_brute_force,
-                        momentum_schedule, nag_mcmc_detect, nag_stage,
+from .detectors import (DetectorConfig, DetectionResult, learning_rate, lmmse_detect,
+                        lmmse_estimate, mh_accept, mini_batch_gradient, mini_nag_mcmc_detect,
+                        ml_brute_force, momentum_schedule, nag_mcmc_detect, nag_stage,
                         propose_candidate, trace_csv)
 from .fabric import (Fabric, MessageLedger, OpCounters, Topology,
                      batch_hessian, batch_hessian_norm, centralized_transfer,

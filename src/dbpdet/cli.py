@@ -40,14 +40,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dbpdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="experiment config file (INI)")
-        p.add_argument("--preset", help="built-in preset: fig3-desk, fig4-desk, oracle")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--workers", type=int, help="worker process count")
-        p.add_argument("--out", help="output directory for CSV/JSON")
+    shared = {"--config": {"help": "experiment config file (INI)"},
+              "--preset": {"help": "built-in preset: fig3-desk, fig4-desk, oracle"},
+              "--seed": {"type": int, "help": "master seed override"},
+              "--workers": {"type": int, "help": "worker process count"},
+              "--out": {"help": "output directory for CSV/JSON"}}
 
-    p = sub.add_parser("ber", help="BER/SER sweep over an SNR grid")
+    def common(p, *flags):
+        """Register the shared flags the subcommand's handler reads (all by default)."""
+        for flag in flags or shared:
+            p.add_argument(flag, **shared[flag])
+
+    p = sub.add_parser("ber", help="BER sweep over an SNR grid")
     common(p)
     p.add_argument("--snr", type=_floats, help="comma-separated SNR grid in dB")
     p.add_argument("--max-bits", type=int, help="stop after this many bits")
@@ -61,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=2000)
 
     p = sub.add_parser("bandwidth", help="interconnect bits: closed form vs ledger")
-    common(p)
+    common(p, "--seed", "--out")
     p.add_argument("--b-grid", type=_ints, default=[64, 128, 256])
     p.add_argument("--u", type=int, default=8)
     p.add_argument("--c", type=int, default=8)
@@ -74,7 +78,7 @@ def _build_parser() -> _Parser:
                    help="skip the ledger confirmation runs")
 
     p = sub.add_parser("complexity", help="multiplication counters and scaling fits")
-    common(p)
+    common(p, "--seed", "--out")
     p.add_argument("--b", type=int, default=32)
     p.add_argument("--u", type=int, default=8)
     p.add_argument("--c", type=int, default=8)
@@ -84,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ng", type=int, default=4)
 
     p = sub.add_parser("diagnose", help="run the chain diagnostics suite")
-    common(p)
+    common(p, "--out")
     p.add_argument("--checks", type=_names, help="comma-separated subset of check names")
     p.add_argument("--inject-fault", choices=["acceptance"],
                    help="deliberately tamper the acceptance rule (self-test)")

@@ -67,42 +67,43 @@ class DetectorConfig:
         if self.topology not in (fb.STAR, fb.DAISY_CHAIN):
             raise ConfigError(f"unknown topology {self.topology!r}")
 
-
-@dataclass
-class SampleRecord:
-    """One chain step; ``x`` is the retained sample, ``f`` its objective."""
-
-    t: int
-    x: np.ndarray
-    f: float
-    f_prev: float
-    f_cand: float
-    alpha: float
-    accepted: bool
-    f_best: float
-    sampler: int = 0
+    def check_clusters(self, n_clusters: int) -> None:
+        """Raise ConfigError unless ``batch_size`` divides ``n_clusters``."""
+        if n_clusters % self.batch_size:
+            raise ConfigError(f"batch_size {self.batch_size} must divide {n_clusters} clusters")
 
 
 @dataclass
 class DetectionResult:
-    records: list[SampleRecord]
+    """One detection's run record: row 0 is the initial sample (t = 0), then chain 0's
+    steps t = 1..S, chain 1's, and so on; ``x`` is the sample retained after the step.
+    """
+
+    t: np.ndarray         # (R,) int
+    x: np.ndarray         # (R, U) complex
+    f: np.ndarray         # (R,) float
+    f_cand: np.ndarray    # (R,) float
+    alpha: np.ndarray     # (R,) float
+    accepted: np.ndarray  # (R,) bool
     tau: float
 
-    def decision(self, s: float = math.inf) -> SampleRecord:
-        """The best record with t <= s, earliest on ties: the run's decision at S = s.
+    def decision(self, s: float = math.inf) -> int:
+        """The row of the best sample with t <= s, earliest on ties: the decision at S = s.
 
-        The records with t <= s are those of the same run stopped at S = s, in
+        The rows with t <= s are those of the same run stopped at S = s, in
         the same order, for any number of samplers.
         """
-        return min((r for r in self.records if r.t <= s), key=lambda r: r.f)
+        if s < 0:
+            raise ConfigError(f"no decision at S = {s}")
+        return int(np.argmin(np.where(self.t <= s, self.f, np.inf)))
 
     @property
     def x_hat(self) -> np.ndarray:
-        return self.decision().x
+        return self.x[self.decision()]
 
     @property
     def f_hat(self) -> float:
-        return self.decision().f
+        return float(self.f[self.decision()])
 
 
 def momentum_schedule(n_iterations: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
 def _learning_rate(fabric: Fabric, mode: str) -> float:
     """:func:`learning_rate` of the fabric's clustered channel."""
     if mode == EXACT_GRAM_FNORM:
-        gram = fb.batch_hessian(fabric.clustered, range(fabric.n_units), fabric.n_units)
+        gram = fb.batch_hessian(fabric.clustered, range(fabric.n_units))
         norm = float(np.linalg.norm(gram, "fro"))
     elif mode == DIAG_APPROX:
         diag_sum = fabric.collect_gram_diag_sum()
@@ -144,11 +145,10 @@ def _learning_rate(fabric: Fabric, mode: str) -> float:
     return 1.0 / norm
 
 
-def mini_batch_gradient(p: np.ndarray, batch, fabric: Fabric, batch_size: int) -> np.ndarray:
-    """(C/m)-scaled sum of the batch's local gradients."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    return (fabric.n_units / batch_size) * fabric.gradient_sum(p, batch)
+def mini_batch_gradient(p: np.ndarray, batch, fabric: Fabric) -> np.ndarray:
+    """(C/m)-scaled sum of the local gradients of the m units in ``batch``."""
+    g = fabric.gradient_sum(p, batch)  # ConfigError on an empty batch
+    return (fabric.n_units / len(batch)) * g
 
 
 def propose_candidate(z: np.ndarray, walk_step: float, constellation: Constellation,
@@ -208,24 +208,21 @@ def _chain_batches(config: DetectorConfig, n_units: int, trial: int, sampler: in
 
 def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellation,
                tau: float, x0: np.ndarray, f0: float, rho: np.ndarray,
-               batches: np.ndarray, trial: int, sampler: int) -> list[SampleRecord]:
+               batches: np.ndarray, trial: int, sampler: int) -> list[tuple]:
+    """The chain's (x, f, f_cand, alpha, accepted) rows at t = 1..S."""
     rng_walk = rngmod.stream(config.seed, rngmod.WALK, trial, sampler)
     rng_mh = rngmod.stream(config.seed, rngmod.MH, trial, sampler)
-    x_prev, f_prev, f_best = x0, f0, f0
-    records: list[SampleRecord] = []
-    for t in range(1, config.sampling_iterations + 1):
-        z = nag_stage(x_prev, config, fabric, tau, batches[t - 1], rho)
+    x_prev, f_prev = x0, f0
+    rows = []
+    for t in range(config.sampling_iterations):
+        z = nag_stage(x_prev, config, fabric, tau, batches[t], rho)
         cand = propose_candidate(z, config.walk_step, constellation, rng_walk)
         f_cand = fabric.objective_sum(cand)
-        f_before = f_prev
         accepted, alpha = mh_accept(f_cand, f_prev, rng_mh)
         if accepted:
             x_prev, f_prev = cand, f_cand
-        f_best = min(f_best, f_prev)
-        records.append(SampleRecord(t=t, x=x_prev, f=f_prev, f_prev=f_before,
-                                    f_cand=f_cand, alpha=alpha, accepted=accepted,
-                                    f_best=f_best, sampler=sampler))
-    return records
+        rows.append((x_prev, f_prev, f_cand, alpha, accepted))
+    return rows
 
 
 def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
@@ -234,8 +231,7 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
     n_units, n_users = fabric.n_units, fabric.n_users
     if instance.H.shape != (n_units * fabric.clustered.block_rows, n_users):
         raise ConfigError("fabric does not match the instance dimensions")
-    if config.batch_size > n_units or n_units % config.batch_size != 0:
-        raise ConfigError(f"batch_size {config.batch_size} must divide cluster count {n_units}")
+    config.check_clusters(n_units)
     if config.topology != fabric.topology.kind:
         raise ConfigError(f"{config.topology} config on a {fabric.topology.kind} fabric")
 
@@ -249,16 +245,16 @@ def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
     f0 = fabric.objective_sum(x0)
     rho = momentum_schedule(config.nag_iterations)
 
-    records = [SampleRecord(t=0, x=x0, f=f0, f_prev=f0, f_cand=f0, alpha=1.0,
-                            accepted=True, f_best=f0, sampler=0)]
+    rows = [(x0, f0, f0, 1.0, True)]
     batches = [_chain_batches(config, n_units, trial, p) for p in range(config.samplers)]
     for p, chain_batches in enumerate(batches):
-        records.extend(_run_chain(fabric, config, constellation, tau, x0, f0, rho,
-                                  chain_batches, trial, p))
+        rows += _run_chain(fabric, config, constellation, tau, x0, f0, rho,
+                           chain_batches, trial, p)
 
     fabric.charge_detection(np.concatenate(batches).reshape(-1, config.batch_size),
-                            len(records), constellation.order)
-    return DetectionResult(records=records, tau=tau)
+                            len(rows), constellation.order)
+    t = np.array([0] + [*range(1, config.sampling_iterations + 1)] * config.samplers)
+    return DetectionResult(t, *map(np.array, zip(*rows)), tau=tau)
 
 
 def mini_nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
@@ -370,10 +366,16 @@ def ml_brute_force(instance: MimoInstance, constellation: Constellation) -> np.n
     return constellation.points[best[0::2] * len(levels) + best[1::2]]
 
 
-def trace_csv(records: list[SampleRecord]) -> str:
-    """Chain trace as ``t,f_prev,f_cand,alpha,accepted,f_best`` rows."""
+def trace_csv(result: DetectionResult) -> str:
+    """Chain trace as ``t,f_prev,f_cand,alpha,accepted,f_best`` rows, where ``f_prev`` (the
+    chain's previous f) and ``f_best`` (its running minimum) both start from f[0]."""
     lines = ["t,f_prev,f_cand,alpha,accepted,f_best"]
-    for r in records:
-        lines.append(f"{r.t},{r.f_prev:.17g},{r.f_cand:.17g},{r.alpha:.17g},"
-                     f"{int(r.accepted)},{r.f_best:.17g}")
+    columns = (result.t, result.f, result.f_cand, result.alpha, result.accepted)
+    for t, f, f_cand, alpha, accepted in zip(*(c.tolist() for c in columns)):
+        if t <= 1:
+            f_prev = f_best = float(result.f[0])
+        f_best = min(f_best, f)
+        lines.append(f"{t},{f_prev:.17g},{f_cand:.17g},{alpha:.17g},"
+                     f"{int(accepted)},{f_best:.17g}")
+        f_prev = f
     return "\n".join(lines) + "\n"

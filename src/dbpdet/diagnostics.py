@@ -56,11 +56,10 @@ def tempered_posterior(clustered: ClusteredChannel, states: np.ndarray) -> np.nd
     return p / p.sum()
 
 
-def log_proposal_row(clustered: ClusteredChannel, x: np.ndarray, batch,
-                     batch_size: int, gamma: float, tau: float,
-                     states: np.ndarray) -> np.ndarray:
+def log_proposal_row(clustered: ClusteredChannel, x: np.ndarray, batch, gamma: float,
+                     tau: float, states: np.ndarray) -> np.ndarray:
     """log q(. | x) over all states for one mini-batch realization."""
-    shift = x - tau * mini_batch_gradient(x, batch, Fabric(clustered), batch_size)
+    shift = x - tau * mini_batch_gradient(x, batch, Fabric(clustered))
     d = states - shift[None, :]
     logits = -np.einsum("nu,nu->n", d.conj(), d).real / (gamma * gamma)
     peak = logits.max()
@@ -74,8 +73,7 @@ def _lattice_index(x: np.ndarray, constellation: Constellation) -> int:
 
 
 def _log_proposals(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
-                   batch, batch_size: int, gamma: float, tau: float,
-                   constellation: Constellation):
+                   batch, gamma: float, tau: float, constellation: Constellation):
     """(states, i, j, log q(x' | x), log q(x | x')) for one mini-batch realization.
 
     ``i`` and ``j`` are the lattice indices of x and x' in ``states``.
@@ -83,43 +81,39 @@ def _log_proposals(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarr
     states = lattice_states(constellation, x.shape[0])
     i = _lattice_index(x, constellation)
     j = _lattice_index(x_prime, constellation)
-    fwd = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)[j]
-    bwd = log_proposal_row(clustered, x_prime, batch, batch_size, gamma, tau, states)[i]
+    fwd = log_proposal_row(clustered, x, batch, gamma, tau, states)[j]
+    bwd = log_proposal_row(clustered, x_prime, batch, gamma, tau, states)[i]
     return states, i, j, fwd, bwd
 
 
 def proposal_probability(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
-                         batch, batch_size: int, gamma: float, tau: float,
-                         constellation: Constellation) -> float:
+                         batch, gamma: float, tau: float, constellation: Constellation) -> float:
     """Exact discrete proposal probability q(x' | x); 0 off the lattice."""
     states = lattice_states(constellation, x.shape[0])
     try:
         j = _lattice_index(x_prime, constellation)
     except MappingError:
         return 0.0
-    row = log_proposal_row(clustered, x, batch, batch_size, gamma, tau, states)
+    row = log_proposal_row(clustered, x, batch, gamma, tau, states)
     return float(np.exp(row[j]))
 
 
 def proposal_ratio(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
-                   batch, batch_size: int, gamma: float, tau: float,
-                   constellation: Constellation) -> float:
+                   batch, gamma: float, tau: float, constellation: Constellation) -> float:
     """q(x | x') / q(x' | x), evaluated in log space for stability."""
-    *_, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size, gamma, tau,
-                                  constellation)
+    *_, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, gamma, tau, constellation)
     return float(np.exp(bwd - fwd))
 
 
 def exact_mh_acceptance(clustered: ClusteredChannel, x: np.ndarray, x_prime: np.ndarray,
-                        batch, batch_size: int, gamma: float, tau: float,
-                        constellation: Constellation):
+                        batch, gamma: float, tau: float, constellation: Constellation):
     """(alpha_exact, alpha_implemented) for the move x -> x'.
 
     The exact criterion keeps the proposal ratio; the implemented one
     omits it and uses only the posterior ratio.
     """
-    states, i, j, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, batch_size,
-                                            gamma, tau, constellation)
+    states, i, j, fwd, bwd = _log_proposals(clustered, x, x_prime, batch, gamma, tau,
+                                            constellation)
     logpi_i, logpi_j = _log_posterior(clustered, states[[i, j]])
     alpha_exact = math.exp(min(0.0, logpi_j - logpi_i + bwd - fwd))
     alpha_implemented = math.exp(min(0.0, logpi_j - logpi_i))
@@ -158,7 +152,6 @@ def build_transition_matrix(clustered: ClusteredChannel, constellation: Constell
     n_units = clustered.n_clusters
     if batch_size is None or batch_size == n_units:
         batches = [tuple(range(n_units))]
-        batch_size = n_units
     else:
         if n_units > 8:
             raise CapacityError("batch-averaged kernels limited to at most 8 units")
@@ -166,8 +159,8 @@ def build_transition_matrix(clustered: ClusteredChannel, constellation: Constell
 
     q = np.zeros((n, n))
     for i in range(n):
-        rows = [np.exp(log_proposal_row(clustered, states[i], b, batch_size,
-                                        gamma, tau, states)) for b in batches]
+        rows = [np.exp(log_proposal_row(clustered, states[i], b, gamma, tau, states))
+                for b in batches]
         q[i] = np.mean(rows, axis=0)
 
     logpi = _log_posterior(clustered, states)
@@ -217,8 +210,8 @@ def detailed_balance_residual(transition: np.ndarray, pi: np.ndarray) -> float:
     return float(np.abs(flow - flow.T).max())
 
 
-def measured_hessian_norm(clustered: ClusteredChannel, batch, batch_size: int,
-                          tol: float = 1e-13, max_iter: int = 50_000) -> float:
+def measured_hessian_norm(clustered: ClusteredChannel, batch, tol: float = 1e-13,
+                          max_iter: int = 50_000) -> float:
     """sup ||H_batch z|| / ||z|| measured through the operator itself.
 
     With y = 0 the sampler's mini-batch gradient at z is exactly the
@@ -231,7 +224,7 @@ def measured_hessian_norm(clustered: ClusteredChannel, batch, batch_size: int,
     z /= np.linalg.norm(z)
     prev = 0.0
     for _ in range(max_iter):
-        w = mini_batch_gradient(z, batch, noiseless, batch_size)
+        w = mini_batch_gradient(z, batch, noiseless)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
@@ -314,8 +307,8 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
 
     norm_err = 0.0
     for i in range(states.shape[0]):
-        row = np.exp(log_proposal_row(clustered, states[i], (0, 1), 2,
-                                      GOLDEN_GAMMA, GOLDEN_TAU, states))
+        row = np.exp(log_proposal_row(clustered, states[i], (0, 1), GOLDEN_GAMMA, GOLDEN_TAU,
+                                      states))
         norm_err = max(norm_err, abs(float(row.sum()) - 1.0))
     record("proposal_rows_normalized", norm_err, 1e-12, "<=", norm_err <= 1e-12)
 
@@ -337,14 +330,13 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
     record("flat_posterior_uniform_tv", flat_tv, 1e-10, "<=", flat_tv <= 1e-10)
 
     rc, rconst, x_true, neighbor, far = _ratio_instances()
-    ratio = proposal_ratio(rc, x_true, neighbor, (0, 1), 2, 0.05, GOLDEN_RATIO_TAU, rconst)
+    ratio = proposal_ratio(rc, x_true, neighbor, (0, 1), 0.05, GOLDEN_RATIO_TAU, rconst)
     dev = abs(ratio - 1.0)
     record("proposal_ratio_near_stationary", dev, GOLDEN_RATIO_THRESHOLD, "<=",
            dev <= GOLDEN_RATIO_THRESHOLD)
     # same walk step but the operating learning rate and a high-gradient
     # state: the omitted ratio is nowhere near one and must be flagged
-    ratio_far = proposal_ratio(rc, far, x_true, (0, 1), 2, 0.05,
-                               learning_rate(rc), rconst)
+    ratio_far = proposal_ratio(rc, far, x_true, (0, 1), 0.05, learning_rate(rc), rconst)
     dev_far = abs(ratio_far - 1.0)
     record("proposal_ratio_large_gradient_flagged", dev_far, GOLDEN_RATIO_THRESHOLD, ">",
            dev_far > GOLDEN_RATIO_THRESHOLD)
@@ -352,8 +344,8 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
     hc = generate_instance(16, 4, build_constellation(16), snr_db=10.0,
                            master_seed=GOLDEN_SEED, trial=1)
     hcl = partition(hc.H, hc.y, 4)
-    measured = measured_hessian_norm(hcl, (0, 2), 2)
-    oracle = float(np.linalg.norm(batch_hessian(hcl, (0, 2), 2), 2))
+    measured = measured_hessian_norm(hcl, (0, 2))
+    oracle = float(np.linalg.norm(batch_hessian(hcl, (0, 2)), 2))
     rel = abs(measured - oracle) / oracle
     record("hessian_bound_matches_operator_norm", rel, 1e-8, "<=", rel <= 1e-8)
 

@@ -115,7 +115,7 @@ def _detect_one(kind, config, system, constellation, instance, trial):
     else:
         x_hat = ml_brute_force(instance, constellation)
         return lambda s: x_hat
-    return lambda s: result.decision(s).x
+    return lambda s: result.x[result.decision(s)]
 
 
 @contextlib.contextmanager
@@ -202,17 +202,11 @@ class BerPoint:
     ber: float
     ci_lo: float
     ci_hi: float
-    symbols: int = 0
-    symbol_errors: int = 0
     trials: int = 0
-
-    @property
-    def ser(self) -> float:
-        return self.symbol_errors / self.symbols if self.symbols else 0.0
 
 
 def run_ber_sweep(spec: ExperimentSpec) -> list[BerPoint]:
-    """BER/SER per (detector, SNR) with the stopping rule applied per pair."""
+    """BER per (detector, SNR) with the stopping rule applied per pair."""
     system = spec.system
     bits_per_trial = system.bits_per_vector
     columns = [(name, math.inf) for name in spec.detectors]
@@ -232,13 +226,10 @@ def run_ber_sweep(spec: ExperimentSpec) -> list[BerPoint]:
         crossed = spec.stopping.crossed(cum_bits[:, None], cum_errors[:, :, 0])
         for col, name in enumerate(spec.detectors):
             last = int(np.argmax(crossed[:, col]))  # the block-level stop implies one exists
-            bits = int(cum_bits[last])
-            bit_errs, symbol_errs = cum_errors[last, col].tolist()
+            bits, bit_errs = int(cum_bits[last]), int(cum_errors[last, col, 0])
             lo, hi = wilson_interval(bit_errs, bits)
-            rows.append(BerPoint(detector=name, snr_db=snr, bits=bits,
-                                 bit_errors=bit_errs, ber=bit_errs / bits,
-                                 ci_lo=lo, ci_hi=hi, symbols=(last + 1) * system.n_users,
-                                 symbol_errors=symbol_errs, trials=last + 1))
+            rows.append(BerPoint(detector=name, snr_db=snr, bits=bits, bit_errors=bit_errs,
+                                 ber=bit_errs / bits, ci_lo=lo, ci_hi=hi, trials=last + 1))
     if spec.out_dir:
         _write(spec.out_dir, "ber.csv", ber_csv(rows))
     return rows
@@ -356,25 +347,35 @@ def _seeded_detection(system: SystemSpec, config: DetectorConfig, seed: int,
     mini_nag_mcmc_detect(inst, config, fabric, constellation)
 
 
-def measured_cu_bits(point: dict, topology_kind: str, seed: int = 0) -> int:
-    """Run one real detection and total the ledger's CU-incident traffic."""
+def _bandwidth_point(point: dict, topology_kind: str = fb.STAR, seed: int = 0):
+    """(system, config, empty ledger) of one report point; ConfigError if it is impossible."""
+    system = SystemSpec(point["B"], point["U"], point["C"], point["M"])
+    constellation = build_constellation(point["M"])
     config = DetectorConfig(sampling_iterations=point["S"], nag_iterations=point["Ng"],
                             batch_size=point["m"], seed=seed, topology=topology_kind)
-    ledger = MessageLedger(real_bits=point["omega"],
-                           symbol_bits=int(math.log2(point["M"])))
-    _seeded_detection(SystemSpec(point["B"], point["U"], point["C"], point["M"]),
-                      config, seed, ledger=ledger)
+    config.check_clusters(system.n_clusters)
+    ledger = MessageLedger(real_bits=point["omega"], symbol_bits=constellation.bits_per_symbol)
+    return system, config, ledger
+
+
+def measured_cu_bits(point: dict, topology_kind: str, seed: int = 0) -> int:
+    """Run one real detection and total the ledger's CU-incident traffic."""
+    system, config, ledger = _bandwidth_point(point, topology_kind, seed)
+    _seeded_detection(system, config, seed, ledger=ledger)
     return ledger.cu_bits(Topology(topology_kind, point["C"]))
 
 
 def run_bandwidth_report(points: list[dict], measure: bool = True, seed: int = 0,
                          out_dir: str | None = None) -> list[BandwidthRow]:
-    """Closed-form interconnect bits per mode, optionally ledger-confirmed."""
+    """Closed-form interconnect bits per mode, optionally ledger-confirmed.
+
+    Every point is checked, as a measured run would build it, before any is reported.
+    """
     if not points:
         raise ConfigError("bandwidth report needs at least one point")
+    ledgers = [_bandwidth_point(pt)[2] for pt in points]
     rows = []
-    for pt in points:
-        SystemSpec(pt["B"], pt["U"], pt["C"], pt["M"])  # raises ConfigError if impossible
+    for pt, ledger in zip(points, ledgers):
         closed = {
             "centralized": predicted_bandwidth("centralized", n_ant=pt["B"],
                                                n_users=pt["U"], real_bits=pt["omega"]),
@@ -388,7 +389,6 @@ def run_bandwidth_report(points: list[dict], measure: bool = True, seed: int = 0
         }
         measured = {mode: None for mode in closed}
         if measure:
-            ledger = MessageLedger(real_bits=pt["omega"], symbol_bits=int(math.log2(pt["M"])))
             centralized_transfer(ledger, pt["B"], pt["U"])
             measured["centralized"] = ledger.bits()
             measured["mini_star"] = measured_cu_bits(pt, fb.STAR, seed)

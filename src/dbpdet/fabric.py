@@ -293,10 +293,12 @@ def predicted_bandwidth(mode: str, *, n_ant: int | None = None, n_users: int,
     return 4 * ng * s * u * w + (s + 1) * u * qbits + (s + 1 + u) * w
 
 
-def batch_hessian(clustered: ClusteredChannel, batch, batch_size: int) -> np.ndarray:
-    """(C/m) * sum of H_c^H H_c over the batch: the mini-batch Hessian."""
+def batch_hessian(clustered: ClusteredChannel, batch) -> np.ndarray:
+    """(C/m) * sum of H_c^H H_c over the m units in the batch: the mini-batch Hessian."""
     batch = sorted(batch)
-    scale = clustered.n_clusters / batch_size
+    if not batch:
+        raise ConfigError("the mini-batch Hessian needs a nonempty batch")
+    scale = clustered.n_clusters / len(batch)
     total = np.zeros((clustered.n_users, clustered.n_users), dtype=np.complex128)
     for c in batch:
         H_c = clustered.H_blocks[c]
@@ -304,6 +306,6 @@ def batch_hessian(clustered: ClusteredChannel, batch, batch_size: int) -> np.nda
     return scale * total
 
 
-def batch_hessian_norm(clustered: ClusteredChannel, batch, batch_size: int) -> float:
+def batch_hessian_norm(clustered: ClusteredChannel, batch) -> float:
     """Spectral norm of the mini-batch Hessian (Lipschitz bound lambda)."""
-    return float(np.linalg.norm(batch_hessian(clustered, batch, batch_size), 2))
+    return float(np.linalg.norm(batch_hessian(clustered, batch), 2))

@@ -43,7 +43,7 @@ def test_criterion_01_mini_batch_unbiasedness():
     worst = 0.0
     for m in (1, 2):
         batches = list(itertools.combinations(range(4), m))
-        mean = sum(mini_batch_gradient(p, b, fabric, m) for b in batches) / len(batches)
+        mean = sum(mini_batch_gradient(p, b, fabric) for b in batches) / len(batches)
         worst = max(worst, float(np.max(np.abs(mean - dense)) / np.max(np.abs(dense))))
     ok = worst < 1e-12
     assert _verdict(1, "mini-batch unbiasedness", ok, f"max rel err {worst:.2e} < 1e-12")

@@ -163,13 +163,36 @@ def test_bandwidth_measured(capsys):
                       "# mini_chain share of centralized -> B=16: 46.2%"]
 
 
-@pytest.mark.parametrize("flags", [["--b-grid="], ["--b-grid", "30", "--c", "8"]])
+@pytest.mark.parametrize("flags", [
+    ["--b-grid="], ["--b-grid", "30", "--c", "8"],
+    *(["--b-grid", "64", flag, value] for flag, value in (
+        ("--m", "3"), ("--m", "0"), ("--m", "16"), ("--s", "-1"), ("--ng", "0"),
+        ("--m-order", "8"), ("--omega", "0"))),
+])
 def test_bandwidth_impossible_points_exit_1(flags, capsys):
-    # an empty grid, and 30 antennas that 8 clusters do not divide
-    assert main(["bandwidth", "--no-measured", *flags]) == 1
+    # an empty grid, 30 antennas that 8 clusters do not divide, and detector or
+    # ledger settings that no measured run accepts: a batch size that does not
+    # divide C = 8, no NAG iterations, S < 0, an unsupported QAM order, 0-bit
+    # reals; with and without the measured runs
+    for measure in (["--no-measured"], []):
+        assert main(["bandwidth", *measure, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bandwidth", "--no-measured", "--workers", "2"],
+    ["complexity", "--preset", "fig3-desk"],
+    ["diagnose", "--config", "experiment.ini"],
+    ["diagnose", "--seed", "3"],
+])
+def test_unread_flags_exit_1(argv, capsys):
+    # only ber and convergence read --config, --preset and --workers; diagnose reads no --seed
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: unrecognized arguments: ")
 
 
 def test_complexity_quick(capsys):

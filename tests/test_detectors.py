@@ -68,14 +68,14 @@ def test_mini_batch_gradient_scaling():
     fabric = Fabric(clustered)
     rng = np.random.default_rng(1)
     p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    full = mini_batch_gradient(p, range(2), fabric, 2)
+    full = mini_batch_gradient(p, range(2), fabric)
     dense = -(inst.H.conj().T @ (inst.y - inst.H @ p))
     assert np.max(np.abs(full - dense)) < 1e-12
-    single = mini_batch_gradient(p, [1], fabric, 1)
+    single = mini_batch_gradient(p, [1], fabric)
     g1 = fabric.local_gradient(1, p)
     assert np.allclose(single, 2.0 * g1, atol=0)
     with pytest.raises(ConfigError):
-        mini_batch_gradient(p, [], fabric, 1)
+        mini_batch_gradient(p, [], fabric)
 
 
 def test_mini_batch_unbiasedness_enumerated():
@@ -86,7 +86,7 @@ def test_mini_batch_unbiasedness_enumerated():
     dense = -(inst.H.conj().T @ (inst.y - inst.H @ p))
     for m in (1, 2):
         batches = list(itertools.combinations(range(4), m))
-        mean = sum(mini_batch_gradient(p, b, fabric, m) for b in batches) / len(batches)
+        mean = sum(mini_batch_gradient(p, b, fabric) for b in batches) / len(batches)
         assert np.max(np.abs(mean - dense)) / np.max(np.abs(dense)) < 1e-12
 
 
@@ -221,32 +221,72 @@ def test_detect_noise_free_from_truth():
     res = _run(inst, config, 4, x0=inst.x_true)
     assert np.array_equal(res.x_hat, inst.x_true)
     assert res.f_hat == 0.0
-    assert all(r.f_cand >= 0.0 for r in res.records)
+    assert np.all(res.f_cand >= 0.0)
 
 
 def test_detect_zero_sampling_iterations_returns_x0():
     inst = generate_instance(16, 4, C16, 10.0, 9)
     config = DetectorConfig(sampling_iterations=0, batch_size=2, seed=3)
     res = _run(inst, config, 4)
-    assert len(res.records) == 1
-    assert np.array_equal(res.x_hat, res.records[0].x)
+    assert res.t.tolist() == [0]
+    assert np.array_equal(res.x_hat, res.x[0])
 
 
 def test_detect_trace_consistency():
     inst = generate_instance(16, 4, C16, 9.0, 10)
     config = DetectorConfig(sampling_iterations=10, batch_size=2, seed=4)
     res = _run(inst, config, 4)
-    for rec in res.records:
-        dense = 0.5 * np.sum(np.abs(inst.y - inst.H @ rec.x) ** 2)
-        assert abs(rec.f - dense) <= 1e-9 * max(dense, 1.0)
-        assert 0.0 <= rec.alpha <= 1.0
-        if rec.t and not rec.accepted:
-            assert rec.f == rec.f_prev
-    fs = [r.f for r in res.records]
+    for x, f, alpha in zip(res.x, res.f, res.alpha):
+        dense = 0.5 * np.sum(np.abs(inst.y - inst.H @ x) ** 2)
+        assert abs(f - dense) <= 1e-9 * max(dense, 1.0)
+        assert 0.0 <= alpha <= 1.0
+    rejected = np.flatnonzero(~res.accepted)  # row 0 counts as accepted
+    assert np.array_equal(res.f[rejected], res.f[rejected - 1])
+    fs = res.f.tolist()
     assert res.f_hat == min(fs)
     first = fs.index(min(fs))
-    assert np.array_equal(res.x_hat, res.records[first].x)
-    assert min(fs) == res.records[-1].f_best
+    assert np.array_equal(res.x_hat, res.x[first])
+    assert float(trace_csv(res).splitlines()[-1].split(",")[5]) == min(fs)  # final f_best
+
+
+@pytest.mark.parametrize("samplers,s", [(3, 4), (1, 0), (3, 0)])
+def test_record_shapes_and_t_pattern(samplers, s):
+    inst = generate_instance(16, 4, C16, 9.0, 14)
+    config = DetectorConfig(sampling_iterations=s, batch_size=2, seed=8, samplers=samplers)
+    res = _run(inst, config, 4)
+    rows = 1 + samplers * s
+    assert res.t.tolist() == [0] + list(range(1, s + 1)) * samplers
+    assert res.x.shape == (rows, 4) and res.x.dtype == np.complex128
+    for column, dtype in ((res.t, np.int64), (res.f, np.float64), (res.f_cand, np.float64),
+                          (res.alpha, np.float64), (res.accepted, np.bool_)):
+        assert column.shape == (rows,) and column.dtype == dtype
+    assert res.accepted[0] and res.alpha[0] == 1.0 and res.f_cand[0] == res.f[0]
+    assert np.array_equal(res.x_hat, res.x[res.decision()])
+    assert res.decision(0) == 0
+
+
+def test_decision_at_negative_s_raises():
+    inst = generate_instance(16, 4, C16, 9.0, 14)
+    res = _run(inst, DetectorConfig(sampling_iterations=3, batch_size=2, seed=8), 4)
+    with pytest.raises(ConfigError, match="no decision at S = -1"):
+        res.decision(-1)
+
+
+def test_rejected_step_repeats_chain_previous_sample():
+    # a wide walk from the truth: chains 1 and 2 reject at t = 1, and steps with t > 1 too
+    inst = generate_instance(16, 4, C16, 9.0, 15)
+    config = DetectorConfig(sampling_iterations=6, batch_size=2, walk_step=0.5, seed=9,
+                            samplers=3)
+    res = _run(inst, config, 4, x0=inst.x_true)
+    previous = np.where(res.t <= 1, 0, np.arange(len(res.t)) - 1)  # each chain starts at row 0
+    rejected = np.flatnonzero(~res.accepted)
+    assert (res.t[rejected] == 1).sum() == 2 and (res.t[rejected] > 1).any()
+    assert np.array_equal(res.f[rejected], res.f[previous[rejected]])
+    assert np.array_equal(res.x[rejected], res.x[previous[rejected]])
+    # the trace derives f_prev per chain: a rejected step's f_prev is its own f
+    trace = [line.split(",") for line in trace_csv(res).splitlines()[1:]]
+    assert [float(trace[r][1]) for r in rejected] == res.f[rejected].tolist()
+    assert [float(row[1]) for row in trace] == res.f[previous].tolist()
 
 
 def test_detect_deterministic():
@@ -256,7 +296,7 @@ def test_detect_deterministic():
     a = _run(inst, config, 4, ledger=ledger_a)
     b = _run(inst, config, 4, ledger=ledger_b)
     assert np.array_equal(a.x_hat, b.x_hat)
-    assert [r.f for r in a.records] == [r.f for r in b.records]
+    assert a.f.tolist() == b.f.tolist()
     assert ledger_a.bits() > 0
     assert ledger_a.to_csv() == ledger_b.to_csv()
 
@@ -270,7 +310,7 @@ def test_star_chain_bit_identical():
         ra = _run(inst, star, 4, trial=trial)
         rb = _run(inst, chain, 4, trial=trial)
         assert np.array_equal(ra.x_hat, rb.x_hat)
-        assert [r.f for r in ra.records] == [r.f for r in rb.records]
+        assert ra.f.tolist() == rb.f.tolist()
 
 
 def test_full_batch_equals_centralized():
@@ -280,16 +320,15 @@ def test_full_batch_equals_centralized():
         mini = _run(inst, config, 4, trial=trial)
         cen = nag_mcmc_detect(inst, config, C16, clusters=4, trial=trial)
         assert np.array_equal(mini.x_hat, cen.x_hat)
-        assert [r.f for r in mini.records] == [r.f for r in cen.records]
+        assert mini.f.tolist() == cen.f.tolist()
 
 
 def test_parallel_samplers():
     inst = generate_instance(16, 4, C16, 9.0, 14)
     config = DetectorConfig(sampling_iterations=4, batch_size=2, seed=8, samplers=3)
     res = _run(inst, config, 4)
-    assert len(res.records) == 1 + 3 * 4
-    assert {r.sampler for r in res.records} == {0, 1, 2}
-    assert res.f_hat == min(r.f for r in res.records)
+    assert res.t.tolist() == [0] + [1, 2, 3, 4] * 3  # chain 0, then chain 1, then chain 2
+    assert res.f_hat == res.f.min()
     res2 = _run(inst, config, 4)
     assert np.array_equal(res.x_hat, res2.x_hat)
 
@@ -304,7 +343,7 @@ def test_config_topology_must_match_fabric():
     cen = nag_mcmc_detect(inst, config, C16, clusters=4, trial=2)
     mini = _run(inst, replace(config, batch_size=4, topology="star"), 4, trial=2)
     assert np.array_equal(cen.x_hat, mini.x_hat)
-    assert trace_csv(cen.records) == trace_csv(mini.records)
+    assert trace_csv(cen) == trace_csv(mini)
 
 
 def test_batch_size_must_divide_clusters():
@@ -481,8 +520,8 @@ def test_trace_csv_schema():
     inst = generate_instance(16, 4, C16, 9.0, 22)
     config = DetectorConfig(sampling_iterations=3, batch_size=2, seed=10)
     res = _run(inst, config, 4)
-    lines = trace_csv(res.records).strip().splitlines()
+    lines = trace_csv(res).strip().splitlines()
     assert lines[0] == "t,f_prev,f_cand,alpha,accepted,f_best"
-    assert len(lines) == 1 + len(res.records)
+    assert len(lines) == 1 + len(res.t)
     cols = lines[2].split(",")
     assert len(cols) == 6 and cols[4] in ("0", "1")

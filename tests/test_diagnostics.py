@@ -36,25 +36,24 @@ def test_proposal_rows_normalized():
     _, clustered = _tiny(n_users=2)
     states = lattice_states(C4, 2)
     for i in (0, 5, 15):
-        for batch, m in (((0, 1), 2), ((0,), 1)):
-            row = np.exp(log_proposal_row(clustered, states[i], batch, m, 0.7, 0.05,
-                                          states))
+        for batch in ((0, 1), (0,)):
+            row = np.exp(log_proposal_row(clustered, states[i], batch, 0.7, 0.05, states))
             assert abs(row.sum() - 1.0) < 1e-12
 
 
 def test_proposal_probability_cases():
     inst, clustered = _tiny()
     states = lattice_states(C4, 1)
-    total = sum(proposal_probability(clustered, states[0], states[j], (0, 1), 2,
+    total = sum(proposal_probability(clustered, states[0], states[j], (0, 1),
                                      0.7, 0.05, C4) for j in range(4))
     assert abs(total - 1.0) < 1e-12
     off = proposal_probability(clustered, states[0], np.array([0.3 + 0.2j]),
-                               (0, 1), 2, 0.7, 0.05, C4)
+                               (0, 1), 0.7, 0.05, C4)
     assert off == 0.0
     # with a vanishing gradient step the self-move is the single largest entry
     noise_free_y = clustered.H_blocks.reshape(4, 1) @ states[2]
     nf = partition(clustered.H_blocks.reshape(4, 1), noise_free_y, 2)
-    probs = [proposal_probability(nf, states[2], states[j], (0, 1), 2, 0.7, 0.0, C4)
+    probs = [proposal_probability(nf, states[2], states[j], (0, 1), 0.7, 0.0, C4)
              for j in range(4)]
     assert np.argmax(probs) == 2
 
@@ -62,7 +61,7 @@ def test_proposal_probability_cases():
 def test_proposal_ratio_identity_and_flagging():
     _, clustered = _tiny(n_users=1)
     states = lattice_states(C4, 1)
-    r = proposal_ratio(clustered, states[1], states[1], (0, 1), 2, 0.7, 0.05, C4)
+    r = proposal_ratio(clustered, states[1], states[1], (0, 1), 0.7, 0.05, C4)
     assert r == pytest.approx(1.0, abs=1e-15)
 
 
@@ -75,9 +74,9 @@ def test_exact_vs_implemented_acceptance_bound():
     states = lattice_states(C4, 1)
     tau = 1e-5
     for j in range(4):
-        a_exact, a_impl = exact_mh_acceptance(clustered, x_true, states[j], (0, 1), 2,
+        a_exact, a_impl = exact_mh_acceptance(clustered, x_true, states[j], (0, 1),
                                               0.05, tau, C4)
-        ratio = proposal_ratio(clustered, x_true, states[j], (0, 1), 2, 0.05, tau, C4)
+        ratio = proposal_ratio(clustered, x_true, states[j], (0, 1), 0.05, tau, C4)
         assert 0.0 <= a_exact <= 1.0 and 0.0 <= a_impl <= 1.0
         assert abs(a_exact - a_impl) <= abs(ratio - 1.0) + 1e-12
 
@@ -89,7 +88,7 @@ def test_two_point_toy_hand_check():
     clustered = partition(H, y, 1)
     states = lattice_states(C4, 1)
     i, j = 0, 2
-    _, a_impl = exact_mh_acceptance(clustered, states[i], states[j], (0,), 1,
+    _, a_impl = exact_mh_acceptance(clustered, states[i], states[j], (0,),
                                     0.7, 0.05, C4)
     expected = min(1.0, math.exp(abs(y[0] - states[i][0]) ** 2
                                  - abs(y[0] - states[j][0]) ** 2))
@@ -147,8 +146,8 @@ def test_flat_posterior_gives_uniform_stationary():
 def test_measured_hessian_matches_oracle():
     inst = generate_instance(16, 4, build_constellation(16), 10.0, 4)
     clustered = partition(inst.H, inst.y, 4)
-    measured = measured_hessian_norm(clustered, (1, 3), 2)
-    oracle = float(np.linalg.norm(batch_hessian(clustered, (1, 3), 2), 2))
+    measured = measured_hessian_norm(clustered, (1, 3))
+    oracle = float(np.linalg.norm(batch_hessian(clustered, (1, 3)), 2))
     assert abs(measured - oracle) / oracle < 1e-8
 
 

@@ -254,10 +254,12 @@ def test_centralized_transfer_charge():
 
 def test_batch_hessian_norm_matches_eigenvalue():
     inst, fabric = _fabric(n_ant=16, n_users=4, n_clusters=4)
-    h = batch_hessian(fabric.clustered, [0, 2], 2)
-    lam = batch_hessian_norm(fabric.clustered, [0, 2], 2)
+    h = batch_hessian(fabric.clustered, [0, 2])
+    lam = batch_hessian_norm(fabric.clustered, [0, 2])
     eigs = np.linalg.eigvalsh(h)
     assert lam == pytest.approx(eigs[-1], rel=1e-12)
+    with pytest.raises(ConfigError):  # m = len(batch) = 0
+        batch_hessian(fabric.clustered, [])
 
 
 def test_op_counters_accumulate():

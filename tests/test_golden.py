@@ -138,7 +138,7 @@ def _billed_text(kind, config):
     counts = "\n".join(f"{ph},{','.join(map(str, counters.du[ph]))},{counters.cu[ph]}"
                        for ph in counters.PHASES)
     decision = ",".join(f"{v.real!r}:{v.imag!r}" for v in result.x_hat)
-    text = "\n".join([trace_csv(result.records), ledger.to_csv(), counts, decision,
+    text = "\n".join([trace_csv(result), ledger.to_csv(), counts, decision,
                       repr(result.f_hat), repr(result.tau)])
     assert np.all(np.isin(result.x_hat, const.points))
     return text
@@ -157,7 +157,7 @@ def _centralized_text():
     config = DetectorConfig(sampling_iterations=10, seed=11)
     result = nag_mcmc_detect(inst, config, const, clusters=8, trial=4)
     decision = ",".join(f"{v.real!r}:{v.imag!r}" for v in result.x_hat)
-    return "\n".join([trace_csv(result.records), decision, repr(result.f_hat),
+    return "\n".join([trace_csv(result), decision, repr(result.f_hat),
                       repr(result.tau)])
 
 
