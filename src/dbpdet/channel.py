@@ -68,7 +68,7 @@ def generate_rayleigh(n_ant: int, n_users: int, rng: np.random.Generator) -> np.
 
 def noise_variance_from_snr(snr_linear: float, n_ant: int, n_users: int) -> float:
     """sigma2 such that E||Hx||^2 / E||n||^2 equals the requested SNR."""
-    if snr_linear <= 0:
+    if not snr_linear > 0:
         raise ConfigError(f"SNR must be positive, got {snr_linear}")
     return n_users / (n_ant * snr_linear)
 

@@ -18,6 +18,7 @@ decisions bit-identical to the mini-batch sampler at m = C by
 construction.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,22 +73,28 @@ class DetectorConfig:
         if n_clusters % self.batch_size:
             raise ConfigError(f"batch_size {self.batch_size} must divide {n_clusters} clusters")
 
+    def centralized(self, n_clusters: int) -> "DetectorConfig":
+        """This config as the centralized sampler runs it: m = C on the star."""
+        return replace(self, batch_size=n_clusters, topology=fb.STAR)
+
 
 @dataclass
 class DetectionResult:
     """One detection's run record: row 0 is the initial sample (t = 0), then chain 0's
     steps t = 1..S, chain 1's, and so on; ``x`` is the sample retained after the step.
+    A block record (:func:`_detect_block`) leads every array but ``t`` with a trial axis,
+    and its ``decision(s)`` is each trial's row.
     """
 
     t: np.ndarray         # (R,) int
-    x: np.ndarray         # (R, U) complex
-    f: np.ndarray         # (R,) float
-    f_cand: np.ndarray    # (R,) float
-    alpha: np.ndarray     # (R,) float
-    accepted: np.ndarray  # (R,) bool
-    tau: float
+    x: np.ndarray         # ([T,] R, U) complex
+    f: np.ndarray         # ([T,] R) float
+    f_cand: np.ndarray    # ([T,] R) float
+    alpha: np.ndarray     # ([T,] R) float
+    accepted: np.ndarray  # ([T,] R) bool
+    tau: float | np.ndarray
 
-    def decision(self, s: float = math.inf) -> int:
+    def decision(self, s: float = math.inf):
         """The row of the best sample with t <= s, earliest on ties: the decision at S = s.
 
         The rows with t <= s are those of the same run stopped at S = s, in
@@ -95,7 +102,7 @@ class DetectionResult:
         """
         if s < 0:
             raise ConfigError(f"no decision at S = {s}")
-        return int(np.argmin(np.where(self.t <= s, self.f, np.inf)))
+        return np.argmin(np.where(self.t <= s, self.f, np.inf), axis=-1)
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -202,8 +209,8 @@ def _chain_batches(config: DetectorConfig, n_units: int, trial: int, sampler: in
     if m == n_units:
         return np.broadcast_to(np.arange(n_units), shape)
     rng_batch = rngmod.stream(config.seed, rngmod.BATCH, trial, sampler)
-    return np.array([np.sort(rng_batch.choice(n_units, size=m, replace=False))
-                     for _ in range(shape[0] * shape[1])], dtype=np.intp).reshape(shape)
+    rows = [rng_batch.choice(n_units, size=m, replace=False) for _ in range(shape[0] * shape[1])]
+    return np.sort(np.array(rows, dtype=np.intp).reshape(shape), axis=-1)
 
 
 def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellation,
@@ -276,8 +283,66 @@ def nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig,
     fabric to bill.
     """
     fabric = Fabric(partition(instance.H, instance.y, clusters))
-    return _detect(instance, replace(config, batch_size=clusters, topology=fb.STAR), fabric,
-                   constellation, trial, x0)
+    return _detect(instance, config.centralized(clusters), fabric, constellation, trial, x0)
+
+
+def _block_objective(H: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each trial's :meth:`Fabric.objective_sum` of its row of x (r^H r adds as np.vdot)."""
+    r = y - (H @ x[:, None, :, None])[..., 0]
+    terms = 0.5 * (r.conj()[..., None, :] @ r[..., None])[..., 0, 0].real
+    return functools.reduce(np.add, terms.T)
+
+
+def _detect_block(instances, config: DetectorConfig, constellation: Constellation, trials,
+                  n_clusters: int, locate=lambda trial, fn, *args: fn(*args)) -> DetectionResult:
+    """The sampler on every instance at once: one record with a leading trial axis, whose
+    trial i rows are ``mini_nag_mcmc_detect``'s on ``instances[i]`` at ``trials[i]``, bit for
+    bit (nothing is billed).  Each trial's learning rate, x0, batches, walk noise and MH tests
+    run as ``locate(trial, fn, *args)``; the NAG stage, the quantization (located at the first
+    non-finite row) and the objective run stacked over (T, C, B_c, U).
+    """
+    config.check_clusters(n_clusters)
+    n_iter, chains = config.sampling_iterations, range(config.samplers)
+
+    def prepare(inst, trial):
+        rng_init = rngmod.stream(config.seed, rngmod.INIT_SAMPLE, trial)
+        return (_learning_rate(Fabric(partition(inst.H, inst.y, n_clusters)), config.lr_mode),
+                constellation.points[rng_init.integers(0, constellation.order, size=inst.n_users)],
+                [_chain_batches(config, n_clusters, trial, p) for p in chains],
+                [rngmod.stream(config.seed, rngmod.WALK, trial, p)
+                 .standard_normal((n_iter, 2, inst.n_users)) for p in chains],
+                [rngmod.stream(config.seed, rngmod.MH, trial, p) for p in chains])
+
+    tau, x0, batches, w, rng_mh = map(np.array, zip(*(
+        locate(trial, prepare, inst, trial) for inst, trial in zip(instances, trials))))
+    H = np.array([inst.H for inst in instances]).reshape(len(x0), n_clusters, -1, x0.shape[1])
+    y = np.array([inst.y for inst in instances]).reshape(H.shape[:3])
+    adjoint = H.conj().swapaxes(-1, -2)  # gathers keep the layout of each H_c.conj().T
+    step = (tau * (n_clusters / config.batch_size))[:, None]
+    rho, rows = momentum_schedule(config.nag_iterations), np.arange(len(x0))[:, None]
+    f0 = _block_objective(H, y, x0)
+    record = [(x0, f0, f0, np.ones_like(f0), np.ones(f0.shape, dtype=bool))]
+    for p in chains:
+        x_prev, f_prev = x0, f0
+        for t in range(n_iter):
+            z, dz = x_prev, np.zeros_like(x_prev)
+            for rho_k, unit in zip(rho, batches[:, p, t].swapaxes(0, 1)):  # nag_stage
+                p_k = z + rho_k * dz
+                r = y[rows, unit] - (H[rows, unit] @ p_k[:, None, :, None])[..., 0]
+                g = -(adjoint[rows, unit] @ r[..., None])[..., 0]
+                z_new = p_k - step * functools.reduce(np.add, g.swapaxes(0, 1))
+                z, dz = z_new, z_new - z
+            z = z + config.walk_step * (math.sqrt(0.5) * (w[:, p, t, 0] + 1j * w[:, p, t, 1]))
+            cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], qam_map, z, constellation)
+            f_cand = _block_objective(H, y, cand)
+            accepted, alpha = map(np.array, zip(*(
+                locate(trial, mh_accept, f_cand[i], f_prev[i], rng_mh[i, p])
+                for i, trial in enumerate(trials))))
+            x_prev = np.where(accepted[:, None], cand, x_prev)
+            f_prev = np.where(accepted, f_cand, f_prev)
+            record.append((x_prev, f_prev, f_cand, alpha, accepted))
+    t = np.array([0] + [*range(1, n_iter + 1)] * config.samplers)
+    return DetectionResult(t, *(np.stack(c, axis=1) for c in zip(*record)), tau=tau)
 
 
 def lmmse_estimate(instance: MimoInstance) -> np.ndarray:

@@ -10,7 +10,6 @@ random numbers) to make paired comparisons cheap.
 """
 
 import configparser
-import contextlib
 import itertools
 import math
 import multiprocessing
@@ -20,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fabric as fb
-from .channel import generate_instance, partition
-from .detectors import (DetectorConfig, lmmse_detect, mini_nag_mcmc_detect, ml_brute_force,
-                        nag_mcmc_detect)
+from .channel import generate_instance, noise_variance_from_snr, partition
+from .detectors import (DetectorConfig, _detect_block, lmmse_detect, mini_nag_mcmc_detect,
+                        ml_brute_force)
 from .errors import ConfigError, UsageError
 from .fabric import (Fabric, MessageLedger, OpCounters, Topology,
                      centralized_transfer, predicted_bandwidth)
@@ -50,6 +49,11 @@ class SystemSpec:
         if self.n_ant % self.n_clusters != 0:
             raise ConfigError(f"cluster count {self.n_clusters} must divide {self.n_ant}")
 
+    def check_snr(self, snr_db) -> None:
+        """ConfigError, before any trial runs, for an SNR point that no instance accepts."""
+        for snr in snr_db:
+            noise_variance_from_snr(10.0 ** (snr / 10.0), self.n_ant, self.n_users)
+
     @property
     def bits_per_vector(self) -> int:
         return self.n_users * int(math.log2(self.mod_order))
@@ -61,6 +65,10 @@ class StoppingRule:
 
     max_bits: int = 50_000_000
     max_bit_errors: int = 1000
+
+    def __post_init__(self):
+        if self.max_bits < 1 or self.max_bit_errors < 0:
+            raise ConfigError("stopping needs max_bits >= 1 and max_bit_errors >= 0")
 
     def crossed(self, bits, bit_errors):
         """Whether a point with these totals has stopped; elementwise on arrays."""
@@ -92,64 +100,58 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.snr_db:
             raise ConfigError("SNR grid must be nonempty")
+        self.system.check_snr(self.snr_db)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
 
 # --------------------------------------------------------------------------
-# single-trial evaluation
+# block evaluation
 # --------------------------------------------------------------------------
 
-def _detect_one(kind, config, system, constellation, instance, trial):
-    """The detector's decision as a function of S; LMMSE and ML have no S."""
-    if kind == MINI_NAG_MCMC:
-        fabric = Fabric(partition(instance.H, instance.y, system.n_clusters),
-                        Topology(config.topology, system.n_clusters))
-        result = mini_nag_mcmc_detect(instance, config, fabric, constellation, trial=trial)
-    elif kind == NAG_MCMC:
-        result = nag_mcmc_detect(instance, config, constellation,
-                                 clusters=system.n_clusters, trial=trial)
-    elif kind == LMMSE:
-        x_hat = lmmse_detect(instance, constellation)
+def _decisions(det, system, constellation, instances, trials, locate):
+    """The detector's (trials, U) decisions as a function of S; LMMSE and ML have no S."""
+    if det.kind in (LMMSE, ML):
+        x_hat = np.array([locate(trial, lambda: lmmse_detect(inst, constellation)
+                                 if det.kind == LMMSE else ml_brute_force(inst, constellation))
+                          for inst, trial in zip(instances, trials)])
         return lambda s: x_hat
-    else:
-        x_hat = ml_brute_force(instance, constellation)
-        return lambda s: x_hat
-    return lambda s: result.x[result.decision(s)]
-
-
-@contextlib.contextmanager
-def _locating(block: int, trial: int):
-    """Note the block and trial on any exception raised inside."""
-    try:
-        yield
-    except Exception as exc:
-        exc.add_note(f"in block {block}, trial {trial}")
-        raise
+    config = det.config if det.kind == MINI_NAG_MCMC else det.config.centralized(system.n_clusters)
+    result = _detect_block(instances, config, constellation, trials, system.n_clusters, locate)
+    return lambda s: result.x[np.arange(len(instances)), result.decision(s)]
 
 
 def _ber_block(args):
     """(BLOCK, columns, 2) bit and symbol errors of the block's trials.
 
     ``columns`` lists (detector name, S) pairs: each detector runs once per
-    trial, and a sampler column scores the run's decision at S (the whole
-    run's at ``math.inf``).
+    block, in the spec's order, and a sampler column scores the run's
+    decisions at S (the whole run's at ``math.inf``).
     """
     system, detectors, columns, snr_db, seed, block = args
     constellation = build_constellation(system.mod_order)
+    trials = range(block * BLOCK, (block + 1) * BLOCK)
+
+    def locate(trial, fn, *args):
+        """fn(*args), noting the block and trial on any exception it raises."""
+        try:
+            return fn(*args)
+        except Exception as exc:
+            exc.add_note(f"in block {block}, trial {trial}")
+            raise
+
+    instances = [locate(trial, generate_instance, system.n_ant, system.n_users, constellation,
+                        snr_db, seed, trial) for trial in trials]
+    decide = {name: _decisions(det, system, constellation, instances, trials, locate)
+              for name, det in detectors.items()}
+    x_true = np.array([inst.x_true for inst in instances])
+    true_bits = symbols_to_bits(x_true, constellation).reshape(BLOCK, -1)
     out = np.zeros((BLOCK, len(columns), 2), dtype=np.int64)
-    for i in range(BLOCK):
-        trial = block * BLOCK + i
-        with _locating(block, trial):
-            inst = generate_instance(system.n_ant, system.n_users, constellation,
-                                     snr_db, seed, trial)
-            true_bits = symbols_to_bits(inst.x_true, constellation)
-            decide = {name: _detect_one(det.kind, det.config, system, constellation, inst, trial)
-                      for name, det in detectors.items()}
-            for col, (name, s) in enumerate(columns):
-                x_hat = decide[name](s)
-                out[i, col, 0] = int(np.sum(symbols_to_bits(x_hat, constellation) != true_bits))
-                out[i, col, 1] = int(np.sum(x_hat != inst.x_true))
+    for col, (name, s) in enumerate(columns):
+        x_hat = decide[name](s)
+        out[:, col, 0] = np.sum(symbols_to_bits(x_hat, constellation).reshape(BLOCK, -1)
+                                != true_bits, axis=1)
+        out[:, col, 1] = np.sum(x_hat != x_true, axis=1)
     return out
 
 
@@ -256,6 +258,7 @@ def run_paired_trials(system: SystemSpec, detectors: dict[str, DetectorSpec],
     """
     if unit not in ("bit", "symbol"):
         raise ConfigError(f"unknown error unit {unit!r}")
+    system.check_snr((snr_db,))
     columns = [(name, math.inf) for name in detectors]
     errors = _run_blocks((system, detectors, columns, snr_db, seed), workers,
                          n_trials)[:, :, 0 if unit == "bit" else 1]
@@ -292,6 +295,7 @@ def run_convergence(system: SystemSpec, base_config: DetectorConfig, m_grid,
     if n_trials < 1 or not m_grid or not s_grid or s_grid[0] < 0:
         raise ConfigError("convergence needs at least one trial, nonempty m and S grids "
                           "and S >= 0")
+    system.check_snr((snr_db,))
     detectors = {m: DetectorSpec(MINI_NAG_MCMC, replace(base_config, batch_size=m,
                                                         sampling_iterations=s_grid[-1]))
                  for m in m_grid}

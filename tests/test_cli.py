@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dbpdet import detectors, experiments
+from dbpdet import rng as rngmod
 from dbpdet.channel import generate_instance
 from dbpdet.cli import main
 from dbpdet.errors import CapacityError
@@ -124,19 +126,60 @@ def test_ber_deterministic_across_workers(config_path, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_failure_names_block_and_trial(config_path, monkeypatch, capsys, workers):
-    detect = experiments.mini_nag_mcmc_detect
+    stream = rngmod.stream
 
-    def failing_at_trial_70(instance, config, fabric, constellation, trial=0, x0=None):
-        if trial == 70:
+    def failing_at_trial_70(seed, domain, *key):
+        if domain == rngmod.WALK and key[0] == 70:
             raise FloatingPointError("injected")
-        return detect(instance, config, fabric, constellation, trial=trial, x0=x0)
+        return stream(seed, domain, *key)
 
-    # 100 trials of 4 bits: blocks 0 and 1 run, and trial 70 is in block 1
-    monkeypatch.setattr(experiments, "mini_nag_mcmc_detect", failing_at_trial_70)
+    # 100 trials of 4 bits: blocks 0 and 1 run, and trial 70 is in block 1; the sampler
+    # draws each trial's walk stream in its per-trial set-up
+    monkeypatch.setattr(rngmod, "stream", failing_at_trial_70)
     assert main(["ber", "--config", config_path, "--workers", str(workers)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "runtime error: FloatingPointError: injected (in block 1, trial 70)\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_trial_names_block_and_trial(config_path, monkeypatch, capsys, workers):
+    generate = experiments.generate_instance
+
+    def nan_at_trial_70(*args):
+        instance = generate(*args)
+        if args[-1] == 70:
+            instance.y[0] = np.nan
+        return instance
+
+    # the first detector in the spec's order (mini) fails first, on its MH test
+    monkeypatch.setattr(experiments, "generate_instance", nan_at_trial_70)
+    assert main(["ber", "--config", config_path, "--workers", str(workers)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("runtime error: NumericInputError: objective values must be finite "
+                            "(in block 1, trial 70)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--preset", "oracle", "--snr", "10", "--max-bits", "0"],
+    ["ber", "--preset", "oracle", "--snr", "10", "--max-bits", "-5"],
+    ["ber", "--preset", "oracle", "--snr", "10", "--max-errors", "-1"],
+    ["ber", "--preset", "oracle", "--snr", "nan"],
+    ["ber", "--preset", "oracle", "--snr=-inf"],
+    ["convergence", "--preset", "fig3-desk", "--trials", "4", "--snr", "nan"],
+])
+def test_impossible_budget_or_snr_exits_1(argv, capsys):
+    # a point that can never stop, or an SNR with no noise variance, fails before any trial
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_noise_free_snr_runs(capsys):
+    assert main(["ber", "--preset", "oracle", "--snr", "inf", "--max-bits", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("mini,inf,16,0,")
 
 
 def test_bandwidth_stdout(capsys):

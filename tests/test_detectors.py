@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from dbpdet import rng as rngmod
 from dbpdet.channel import MimoInstance, generate_instance, generate_rayleigh, partition
-from dbpdet.detectors import (DetectorConfig, _chain_batches, learning_rate, lmmse_detect,
-                              lmmse_estimate, mh_accept, mini_batch_gradient,
-                              mini_nag_mcmc_detect, ml_brute_force, momentum_schedule,
-                              nag_mcmc_detect, nag_stage, propose_candidate, trace_csv)
+from dbpdet.detectors import (DIAG_APPROX, EXACT_GRAM_FNORM, DetectorConfig, _chain_batches,
+                              _detect_block, learning_rate, lmmse_detect, lmmse_estimate,
+                              mh_accept, mini_batch_gradient, mini_nag_mcmc_detect,
+                              ml_brute_force, momentum_schedule, nag_mcmc_detect, nag_stage,
+                              propose_candidate, trace_csv)
 from dbpdet.errors import ConfigError, DegenerateChannelError, NumericInputError
-from dbpdet.fabric import Fabric, MessageLedger, Topology
+from dbpdet.fabric import DAISY_CHAIN, STAR, Fabric, MessageLedger, Topology
 from dbpdet.modem import build_constellation, qam_map, symbol_indices
 
 C16 = build_constellation(16)
@@ -331,6 +332,57 @@ def test_parallel_samplers():
     assert res.f_hat == res.f.min()
     res2 = _run(inst, config, 4)
     assert np.array_equal(res.x_hat, res2.x_hat)
+
+
+@st.composite
+def _block_case(draw):
+    """A config, cluster count, constellation and distinct, non-contiguous trial indices."""
+    c = draw(st.sampled_from([1, 2, 4]))
+    config = DetectorConfig(
+        sampling_iterations=draw(st.integers(0, 5)), nag_iterations=draw(st.integers(1, 3)),
+        batch_size=draw(st.sampled_from([m for m in (1, 2, 4) if c % m == 0])),
+        walk_step=draw(st.sampled_from([0.05, 0.3])),
+        lr_mode=draw(st.sampled_from([DIAG_APPROX, EXACT_GRAM_FNORM])),
+        samplers=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 32)),
+        topology=draw(st.sampled_from([STAR, DAISY_CHAIN])))
+    trials = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5, unique=True))
+    n_ant = c * draw(st.integers(1, 4))
+    return (config, c, draw(st.sampled_from([C4, C16])), trials, n_ant,
+            draw(st.integers(1, min(n_ant, 8))), draw(st.sampled_from([0.0, 8.0, 20.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_block_case())
+def test_block_engine_matches_per_trial_detections(case):
+    # the block engine is the per-trial sampler run along a leading trial axis: every
+    # array of every trial's record is bit-identical, for any trial order
+    config, c, const, trials, n_ant, n_users, snr_db = case
+    insts = [generate_instance(n_ant, n_users, const, snr_db, config.seed, t) for t in trials]
+    block = _detect_block(insts, config, const, trials, c)
+    assert np.array_equal(block.t, _run(insts[0], config, c, const, trials[0]).t)
+    for i, (inst, trial) in enumerate(zip(insts, trials)):
+        ref = _run(inst, config, c, const, trial)
+        for name in ("x", "f", "f_cand", "alpha", "accepted", "tau"):
+            assert np.array_equal(getattr(block, name)[i], getattr(ref, name)), name
+        assert np.array_equal(block.x[i, block.decision(2)[i]], ref.x[ref.decision(2)])
+
+
+def test_block_engine_names_first_non_finite_trial():
+    insts = [generate_instance(16, 4, C16, 10.0, 3, t) for t in range(3)]
+    for inst in insts[1:]:
+        inst.y[0] = np.nan  # every gradient at m = C reads unit 0: the walk input is NaN
+
+    def locate(trial, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            exc.add_note(f"trial {trial}")
+            raise
+
+    with pytest.raises(NumericInputError, match="qam_map") as info:
+        _detect_block(insts, DetectorConfig(sampling_iterations=2, batch_size=4), C16,
+                      [7, 9, 11], 4, locate)
+    assert info.value.__notes__ == ["trial 9"]
 
 
 def test_config_topology_must_match_fabric():

@@ -104,6 +104,7 @@ DIAGNOSE_VERDICTS = [
     ["proposal_ratio_large_gradient_flagged", True],
     ["hessian_bound_matches_operator_norm", True],
     ["diag_tau_shrinks_with_users", True],
+    ["block_engine_matches_per_trial", True],
 ]
 
 # the tampered acceptance breaks exact detailed balance and nothing else
