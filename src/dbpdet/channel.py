@@ -7,6 +7,7 @@ statistics E||Hx||^2 = U and E||n||^2 = B sigma2, so a target linear SNR
 fixes sigma2 = U / (B * snr) in closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,14 @@ def generate_rayleigh(n_ant: int, n_users: int, rng: np.random.Generator) -> np.
     )
 
 
+def snr_linear_from_db(snr_db: float) -> float:
+    """10^(snr_db / 10); a finite SNR too large for a float is noise-free, as +inf dB is."""
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def noise_variance_from_snr(snr_linear: float, n_ant: int, n_users: int) -> float:
     """sigma2 such that E||Hx||^2 / E||n||^2 equals the requested SNR."""
     if not snr_linear > 0:
@@ -88,7 +97,7 @@ def generate_instance(
     realizations with only the noise scale changing (common random
     numbers), and trials can be generated in any order or in parallel.
     """
-    snr_linear = 10.0 ** (snr_db / 10.0)
+    snr_linear = snr_linear_from_db(snr_db)
     H = generate_rayleigh(n_ant, n_users, rngmod.stream(master_seed, rngmod.CHANNEL, trial))
     sym_rng = rngmod.stream(master_seed, rngmod.SYMBOLS, trial)
     x_true = constellation.points[sym_rng.integers(0, constellation.order, size=n_users)]

@@ -7,12 +7,14 @@ scaled by C/m so the estimate is unbiased; candidates are the quantized
 random-walk perturbation of the descent output; acceptance uses
 alpha = min{1, exp(2 f(x_prev) - 2 f(x_cand))} with the 1/2-norm
 objective convention, and the reported decision is the stored sample
-with the smallest objective (earliest on ties).  The sampler keeps no
-accounting: each chain draws its batches up front, and
-:meth:`Fabric.charge_detection` bills the detection from its record.
+with the smallest objective (earliest on ties).  One engine runs every
+detection, stacked over a leading trial axis; a single detection is a
+block of one trial.  The sampler keeps no accounting: each chain draws
+its batches up front, and :meth:`Fabric.charge_detection` bills the
+detection from them.
 
-The centralized detector is the m = C run of the same sampler on a
-ledger-less star fabric: every unit is in every batch, so no batch is
+The centralized detector is the m = C run of the same sampler on the
+star, billed nowhere: every unit is in every batch, so no batch is
 drawn, and the walk and acceptance streams are shared, which makes its
 decisions bit-identical to the mini-batch sampler at m = C by
 construction.
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import fabric as fb
 from . import rng as rngmod
-from .channel import MimoInstance, partition
+from .channel import ClusteredChannel, MimoInstance, partition
 from .errors import CapacityError, ConfigError, DegenerateChannelError, NumericInputError
 from .fabric import Fabric
 from .modem import Constellation, qam_map
@@ -82,8 +84,8 @@ class DetectorConfig:
 class DetectionResult:
     """One detection's run record: row 0 is the initial sample (t = 0), then chain 0's
     steps t = 1..S, chain 1's, and so on; ``x`` is the sample retained after the step.
-    A block record (:func:`_detect_block`) leads every array but ``t`` with a trial axis,
-    and its ``decision(s)`` is each trial's row.
+    The sampler engine (:func:`_detect_block`) leads every array but ``t`` with a trial
+    axis; ``decision(s)`` then gives each trial's row, and ``record[i]`` is trial i's record.
     """
 
     t: np.ndarray         # (R,) int
@@ -93,6 +95,10 @@ class DetectionResult:
     alpha: np.ndarray     # ([T,] R) float
     accepted: np.ndarray  # ([T,] R) bool
     tau: float | np.ndarray
+
+    def __getitem__(self, i: int) -> "DetectionResult":
+        return DetectionResult(self.t, self.x[i], self.f[i], self.f_cand[i], self.alpha[i],
+                               self.accepted[i], tau=float(self.tau[i]))
 
     def decision(self, s: float = math.inf):
         """The row of the best sample with t <= s, earliest on ties: the decision at S = s.
@@ -126,7 +132,7 @@ def momentum_schedule(n_iterations: int) -> np.ndarray:
     return rho
 
 
-def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
+def learning_rate(clustered: ClusteredChannel, mode: str = DIAG_APPROX) -> float:
     """Inverse Frobenius norm of the Gram matrix or of its diagonal.
 
     The diagonal mode uses only the per-unit column norms that the
@@ -134,16 +140,11 @@ def learning_rate(clustered, mode: str = DIAG_APPROX) -> float:
     mode's step because dropping off-diagonal entries can only shrink
     the Frobenius norm.
     """
-    return _learning_rate(Fabric(clustered), mode)
-
-
-def _learning_rate(fabric: Fabric, mode: str) -> float:
-    """:func:`learning_rate` of the fabric's clustered channel."""
     if mode == EXACT_GRAM_FNORM:
-        gram = fb.batch_hessian(fabric.clustered, range(fabric.n_units))
-        norm = float(np.linalg.norm(gram, "fro"))
+        norm = float(np.linalg.norm(fb.batch_hessian(clustered, range(clustered.n_clusters)),
+                                    "fro"))
     elif mode == DIAG_APPROX:
-        diag_sum = fabric.collect_gram_diag_sum()
+        diag_sum = Fabric(clustered).collect_gram_diag_sum()
         norm = float(np.sqrt(np.sum(diag_sum * diag_sum)))
     else:
         raise ConfigError(f"unknown lr_mode {mode!r}")
@@ -159,11 +160,10 @@ def mini_batch_gradient(p: np.ndarray, batch, fabric: Fabric) -> np.ndarray:
 
 
 def propose_candidate(z: np.ndarray, walk_step: float, constellation: Constellation,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Quantized random-walk step: Q(z + walk_step * w), w ~ CN(0, I)."""
-    u = z.shape[0]
-    w = math.sqrt(0.5) * (rng.standard_normal(u) + 1j * rng.standard_normal(u))
-    return qam_map(z + walk_step * w, constellation)
+                      w: np.ndarray) -> np.ndarray:
+    """Quantized random-walk step of each trial's row of z (T, U): Q(z + walk_step * w),
+    w ~ CN(0, I) built from the pre-drawn real and imaginary normals ``w`` (T, 2, U)."""
+    return qam_map(z + walk_step * (math.sqrt(0.5) * (w[:, 0] + 1j * w[:, 1])), constellation)
 
 
 def mh_accept(f_cand: float, f_prev: float, rng: np.random.Generator):
@@ -180,25 +180,24 @@ def mh_accept(f_cand: float, f_prev: float, rng: np.random.Generator):
     return alpha >= nu, alpha
 
 
-def nag_stage(x_prev: np.ndarray, config: DetectorConfig, fabric: Fabric, tau: float,
-              batches: np.ndarray, rho: np.ndarray | None = None) -> np.ndarray:
-    """Momentum-accelerated descent from x_prev; returns the final iterate.
+def nag_stage(x_prev: np.ndarray, H: np.ndarray, y: np.ndarray, adjoint: np.ndarray,
+              step: np.ndarray, batches: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Momentum-accelerated descent from each trial's row of x_prev (T, U); returns the final
+    iterates.
 
-    Iteration k aggregates the local gradients of the units in row k of
-    ``batches``, which holds ``config.nag_iterations`` rows of
-    ``config.batch_size`` unit indices.
+    Iteration k sums, in ascending unit order, the local gradients of the units in row k of
+    each trial's ``batches`` (T, N_g, m), read from H (T, C, B_c, U), y (T, C, B_c) and the
+    conj-swapaxes view ``adjoint`` of H; ``step`` (T, 1) is tau C/m and ``rho`` the momentum
+    schedule.
     """
-    if rho is None:
-        rho = momentum_schedule(config.nag_iterations)
-    step = tau * (fabric.n_units / config.batch_size)
-    z = x_prev.astype(np.complex128)
-    dz = np.zeros(fabric.n_users, dtype=np.complex128)
-    for k in range(config.nag_iterations):
-        p_k = z + rho[k] * dz
-        g = fabric.gradient_sum(p_k, batches[k])
-        z_new = p_k - step * g
-        dz = z_new - z
-        z = z_new
+    trials = np.arange(len(x_prev))[:, None]
+    z, dz = x_prev, np.zeros_like(x_prev)
+    for rho_k, unit in zip(rho, batches.swapaxes(0, 1)):
+        p_k = z + rho_k * dz
+        r = y[trials, unit] - (H[trials, unit] @ p_k[:, None, :, None])[..., 0]
+        g = -(adjoint[trials, unit] @ r[..., None])[..., 0]  # gathers keep H_c.conj().T's layout
+        z_new = p_k - step * functools.reduce(np.add, g.swapaxes(0, 1))
+        z, dz = z_new, z_new - z
     return z
 
 
@@ -213,62 +212,20 @@ def _chain_batches(config: DetectorConfig, n_units: int, trial: int, sampler: in
     return np.sort(np.array(rows, dtype=np.intp).reshape(shape), axis=-1)
 
 
-def _run_chain(fabric: Fabric, config: DetectorConfig, constellation: Constellation,
-               tau: float, x0: np.ndarray, f0: float, rho: np.ndarray,
-               batches: np.ndarray, trial: int, sampler: int) -> list[tuple]:
-    """The chain's (x, f, f_cand, alpha, accepted) rows at t = 1..S."""
-    rng_walk = rngmod.stream(config.seed, rngmod.WALK, trial, sampler)
-    rng_mh = rngmod.stream(config.seed, rngmod.MH, trial, sampler)
-    x_prev, f_prev = x0, f0
-    rows = []
-    for t in range(config.sampling_iterations):
-        z = nag_stage(x_prev, config, fabric, tau, batches[t], rho)
-        cand = propose_candidate(z, config.walk_step, constellation, rng_walk)
-        f_cand = fabric.objective_sum(cand)
-        accepted, alpha = mh_accept(f_cand, f_prev, rng_mh)
-        if accepted:
-            x_prev, f_prev = cand, f_cand
-        rows.append((x_prev, f_prev, f_cand, alpha, accepted))
-    return rows
-
-
-def _detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
-            constellation: Constellation, trial: int,
-            x0: np.ndarray | None) -> DetectionResult:
-    n_units, n_users = fabric.n_units, fabric.n_users
-    if instance.H.shape != (n_units * fabric.clustered.block_rows, n_users):
-        raise ConfigError("fabric does not match the instance dimensions")
-    config.check_clusters(n_units)
-    if config.topology != fabric.topology.kind:
-        raise ConfigError(f"{config.topology} config on a {fabric.topology.kind} fabric")
-
-    # preprocessing: learning rate, initial sample
-    tau = _learning_rate(fabric, config.lr_mode)
-    if x0 is None:
-        rng_init = rngmod.stream(config.seed, rngmod.INIT_SAMPLE, trial)
-        x0 = constellation.points[rng_init.integers(0, constellation.order, size=n_users)]
-    else:
-        x0 = np.asarray(x0, dtype=np.complex128)
-    f0 = fabric.objective_sum(x0)
-    rho = momentum_schedule(config.nag_iterations)
-
-    rows = [(x0, f0, f0, 1.0, True)]
-    batches = [_chain_batches(config, n_units, trial, p) for p in range(config.samplers)]
-    for p, chain_batches in enumerate(batches):
-        rows += _run_chain(fabric, config, constellation, tau, x0, f0, rho,
-                           chain_batches, trial, p)
-
-    fabric.charge_detection(np.concatenate(batches).reshape(-1, config.batch_size),
-                            len(rows), constellation.order)
-    t = np.array([0] + [*range(1, config.sampling_iterations + 1)] * config.samplers)
-    return DetectionResult(t, *map(np.array, zip(*rows)), tau=tau)
-
-
 def mini_nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig, fabric: Fabric,
                          constellation: Constellation, trial: int = 0,
                          x0: np.ndarray | None = None) -> DetectionResult:
-    """Run the decentralized mini-batch sampler on a prepared fabric."""
-    return _detect(instance, config, fabric, constellation, trial, x0)
+    """Run the decentralized mini-batch sampler on a prepared fabric and bill it there."""
+    if instance.H.shape != (fabric.n_units * fabric.clustered.block_rows, fabric.n_users):
+        raise ConfigError("fabric does not match the instance dimensions")
+    config.check_clusters(fabric.n_units)
+    if config.topology != fabric.topology.kind:
+        raise ConfigError(f"{config.topology} config on a {fabric.topology.kind} fabric")
+    result, batches = _detect_block([fabric.clustered], config, constellation, [trial],
+                                    None if x0 is None else [x0])
+    fabric.charge_detection(batches.reshape(-1, config.batch_size), len(result.t),
+                            constellation.order)
+    return result[0]
 
 
 def nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig,
@@ -282,8 +239,9 @@ def nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig,
     by the star.  No ledger is attached: the centralized scheme has no
     fabric to bill.
     """
-    fabric = Fabric(partition(instance.H, instance.y, clusters))
-    return _detect(instance, config.centralized(clusters), fabric, constellation, trial, x0)
+    return _detect_block([partition(instance.H, instance.y, clusters)],
+                         config.centralized(clusters), constellation, [trial],
+                         None if x0 is None else [x0])[0][0]
 
 
 def _block_objective(H: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -293,56 +251,53 @@ def _block_objective(H: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, terms.T)
 
 
-def _detect_block(instances, config: DetectorConfig, constellation: Constellation, trials,
-                  n_clusters: int, locate=lambda trial, fn, *args: fn(*args)) -> DetectionResult:
-    """The sampler on every instance at once: one record with a leading trial axis, whose
-    trial i rows are ``mini_nag_mcmc_detect``'s on ``instances[i]`` at ``trials[i]``, bit for
-    bit (nothing is billed).  Each trial's learning rate, x0, batches, walk noise and MH tests
-    run as ``locate(trial, fn, *args)``; the NAG stage, the quantization (located at the first
-    non-finite row) and the objective run stacked over (T, C, B_c, U).
-    """
-    config.check_clusters(n_clusters)
-    n_iter, chains = config.sampling_iterations, range(config.samplers)
+def _detect_block(channels, config: DetectorConfig, constellation: Constellation, trials,
+                  x0=None, locate=lambda trial, fn: fn()):
+    """The sampler on every trial's clustered channel at once, ``channels[i]`` for ``trials[i]``.
 
-    def prepare(inst, trial):
+    Returns a record with a leading trial axis and the (T, samplers, S, N_g, m) batches it
+    drew; nothing is billed.  Each trial's learning rate, x0 (drawn unless given as x0[i]),
+    batches, walk noise and MH tests run as ``locate(trial, fn)``; the NAG stage, the
+    proposal (located at the first non-finite row) and the objective run stacked over
+    (T, C, B_c, U).
+    """
+    H = np.array([clustered.H_blocks for clustered in channels])
+    y = np.array([clustered.y_blocks for clustered in channels])
+    n_clusters, n_iter, chains = H.shape[1], config.sampling_iterations, range(config.samplers)
+    config.check_clusters(n_clusters)
+
+    def prepare(i, trial):
         rng_init = rngmod.stream(config.seed, rngmod.INIT_SAMPLE, trial)
-        return (_learning_rate(Fabric(partition(inst.H, inst.y, n_clusters)), config.lr_mode),
-                constellation.points[rng_init.integers(0, constellation.order, size=inst.n_users)],
+        return (learning_rate(channels[i], config.lr_mode),
+                constellation.points[rng_init.integers(0, constellation.order, size=H.shape[3])]
+                if x0 is None else np.asarray(x0[i], dtype=np.complex128),
                 [_chain_batches(config, n_clusters, trial, p) for p in chains],
                 [rngmod.stream(config.seed, rngmod.WALK, trial, p)
-                 .standard_normal((n_iter, 2, inst.n_users)) for p in chains],
+                 .standard_normal((n_iter, 2, H.shape[3])) for p in chains],
                 [rngmod.stream(config.seed, rngmod.MH, trial, p) for p in chains])
 
-    tau, x0, batches, w, rng_mh = map(np.array, zip(*(
-        locate(trial, prepare, inst, trial) for inst, trial in zip(instances, trials))))
-    H = np.array([inst.H for inst in instances]).reshape(len(x0), n_clusters, -1, x0.shape[1])
-    y = np.array([inst.y for inst in instances]).reshape(H.shape[:3])
-    adjoint = H.conj().swapaxes(-1, -2)  # gathers keep the layout of each H_c.conj().T
+    tau, x_init, batches, w, rng_mh = map(np.array, zip(*(
+        locate(trial, lambda: prepare(i, trial)) for i, trial in enumerate(trials))))
+    adjoint = H.conj().swapaxes(-1, -2)
     step = (tau * (n_clusters / config.batch_size))[:, None]
-    rho, rows = momentum_schedule(config.nag_iterations), np.arange(len(x0))[:, None]
-    f0 = _block_objective(H, y, x0)
-    record = [(x0, f0, f0, np.ones_like(f0), np.ones(f0.shape, dtype=bool))]
+    rho = momentum_schedule(config.nag_iterations)
+    f0 = _block_objective(H, y, x_init)
+    record = [(x_init, f0, f0, np.ones_like(f0), np.ones(f0.shape, dtype=bool))]
     for p in chains:
-        x_prev, f_prev = x0, f0
+        x_prev, f_prev = x_init, f0
         for t in range(n_iter):
-            z, dz = x_prev, np.zeros_like(x_prev)
-            for rho_k, unit in zip(rho, batches[:, p, t].swapaxes(0, 1)):  # nag_stage
-                p_k = z + rho_k * dz
-                r = y[rows, unit] - (H[rows, unit] @ p_k[:, None, :, None])[..., 0]
-                g = -(adjoint[rows, unit] @ r[..., None])[..., 0]
-                z_new = p_k - step * functools.reduce(np.add, g.swapaxes(0, 1))
-                z, dz = z_new, z_new - z
-            z = z + config.walk_step * (math.sqrt(0.5) * (w[:, p, t, 0] + 1j * w[:, p, t, 1]))
-            cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], qam_map, z, constellation)
+            z = nag_stage(x_prev, H, y, adjoint, step, batches[:, p, t], rho)
+            cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], lambda: propose_candidate(
+                z, config.walk_step, constellation, w[:, p, t]))
             f_cand = _block_objective(H, y, cand)
             accepted, alpha = map(np.array, zip(*(
-                locate(trial, mh_accept, f_cand[i], f_prev[i], rng_mh[i, p])
+                locate(trial, lambda: mh_accept(f_cand[i], f_prev[i], rng_mh[i, p]))
                 for i, trial in enumerate(trials))))
             x_prev = np.where(accepted[:, None], cand, x_prev)
             f_prev = np.where(accepted, f_cand, f_prev)
             record.append((x_prev, f_prev, f_cand, alpha, accepted))
     t = np.array([0] + [*range(1, n_iter + 1)] * config.samplers)
-    return DetectionResult(t, *(np.stack(c, axis=1) for c in zip(*record)), tau=tau)
+    return DetectionResult(t, *(np.stack(c, axis=1) for c in zip(*record)), tau=tau), batches
 
 
 def lmmse_estimate(instance: MimoInstance) -> np.ndarray:

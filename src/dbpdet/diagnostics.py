@@ -361,13 +361,14 @@ def run_diagnostic_suite(checks=None, fault: str | None = None) -> dict:
     shrinking = all(a > b for a, b in zip(taus, taus[1:]))
     record("diag_tau_shrinks_with_users", taus, None, "decreasing", shrinking)
 
-    # the block engine against the per-trial sampler it replaces, on this numpy/BLAS build
+    # a 3-trial block against three single detections, on this numpy/BLAS build: the
+    # stacked kernels must not depend on the trial count
     const16 = build_constellation(16)
     insts = [generate_instance(16, 4, const16, 8.0, GOLDEN_SEED, t) for t in range(3)]
     config = DetectorConfig(sampling_iterations=6, batch_size=4, samplers=2, seed=GOLDEN_SEED)
-    block = _detect_block(insts, config, const16, range(3), 4)
+    block = _detect_block([partition(g.H, g.y, 4) for g in insts], config, const16, range(3))[0]
     runs = [nag_mcmc_detect(g, config, const16, clusters=4, trial=t) for t, g in enumerate(insts)]
-    differ = sum(not np.array_equal(getattr(block, k)[t], getattr(run, k)) for t, run in
+    differ = sum(not np.array_equal(getattr(block[t], k), getattr(run, k)) for t, run in
                  enumerate(runs) for k in ("x", "f", "f_cand", "alpha", "accepted", "tau"))
     record("block_engine_matches_per_trial", differ, 0, "==", differ == 0)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fabric as fb
-from .channel import generate_instance, noise_variance_from_snr, partition
+from .channel import generate_instance, noise_variance_from_snr, partition, snr_linear_from_db
 from .detectors import (DetectorConfig, _detect_block, lmmse_detect, mini_nag_mcmc_detect,
                         ml_brute_force)
 from .errors import ConfigError, UsageError
@@ -52,7 +52,7 @@ class SystemSpec:
     def check_snr(self, snr_db) -> None:
         """ConfigError, before any trial runs, for an SNR point that no instance accepts."""
         for snr in snr_db:
-            noise_variance_from_snr(10.0 ** (snr / 10.0), self.n_ant, self.n_users)
+            noise_variance_from_snr(snr_linear_from_db(snr), self.n_ant, self.n_users)
 
     @property
     def bits_per_vector(self) -> int:
@@ -117,7 +117,8 @@ def _decisions(det, system, constellation, instances, trials, locate):
                           for inst, trial in zip(instances, trials)])
         return lambda s: x_hat
     config = det.config if det.kind == MINI_NAG_MCMC else det.config.centralized(system.n_clusters)
-    result = _detect_block(instances, config, constellation, trials, system.n_clusters, locate)
+    channels = [partition(inst.H, inst.y, system.n_clusters) for inst in instances]
+    result = _detect_block(channels, config, constellation, trials, locate=locate)[0]
     return lambda s: result.x[np.arange(len(instances)), result.decision(s)]
 
 
@@ -132,16 +133,16 @@ def _ber_block(args):
     constellation = build_constellation(system.mod_order)
     trials = range(block * BLOCK, (block + 1) * BLOCK)
 
-    def locate(trial, fn, *args):
-        """fn(*args), noting the block and trial on any exception it raises."""
+    def locate(trial, fn):
+        """fn(), noting the block and trial on any exception it raises."""
         try:
-            return fn(*args)
+            return fn()
         except Exception as exc:
             exc.add_note(f"in block {block}, trial {trial}")
             raise
 
-    instances = [locate(trial, generate_instance, system.n_ant, system.n_users, constellation,
-                        snr_db, seed, trial) for trial in trials]
+    instances = [locate(trial, lambda: generate_instance(
+        system.n_ant, system.n_users, constellation, snr_db, seed, trial)) for trial in trials]
     decide = {name: _decisions(det, system, constellation, instances, trials, locate)
               for name, det in detectors.items()}
     x_true = np.array([inst.x_true for inst in instances])
@@ -496,21 +497,12 @@ def run_complexity_report(base_system: SystemSpec, base_config: DetectorConfig,
     spread = (max(sweep_fixed) - min(sweep_fixed)) / max(sweep_fixed)
     fits["du_fixed_block_rows_rel_spread"] = {"value": float(spread)}
 
-    s_rows = [measure_complexity(base_system,
-                                 replace(base_config, sampling_iterations=s), seed)
-              for s in (4, 8, 16, 32)]
-    rows.extend(s_rows)
-    slope, intercept, r2 = linear_fit([r.sampling_iterations for r in s_rows],
-                                      [r.du_mults_mean for r in s_rows])
-    fits["du_vs_sampling_iterations"] = {"slope": slope, "intercept": intercept, "r2": r2}
-
-    ng_rows = [measure_complexity(base_system,
-                                  replace(base_config, nag_iterations=ng), seed)
-               for ng in (1, 2, 4, 8)]
-    rows.extend(ng_rows)
-    slope, intercept, r2 = linear_fit([r.nag_iterations for r in ng_rows],
-                                      [r.du_mults_mean for r in ng_rows])
-    fits["du_vs_nag_iterations"] = {"slope": slope, "intercept": intercept, "r2": r2}
+    for name, grid in (("sampling_iterations", (4, 8, 16, 32)), ("nag_iterations", (1, 2, 4, 8))):
+        sweep = [measure_complexity(base_system, replace(base_config, **{name: v}), seed)
+                 for v in grid]
+        rows.extend(sweep)
+        slope, intercept, r2 = linear_fit(grid, [r.du_mults_mean for r in sweep])
+        fits[f"du_vs_{name}"] = {"slope": slope, "intercept": intercept, "r2": r2}
 
     if out_dir:
         _write(out_dir, "complexity.csv", complexity_csv(rows))

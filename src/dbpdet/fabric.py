@@ -12,11 +12,11 @@ carries exactly one payload-sized message.
 
 Each per-unit computation reads only its own unit's (H_c, y_c) through
 :meth:`Fabric.du_view`, plus the adjoint view H_c^H that the fabric
-builds once per unit.  The same kernels serve the sampler and the exact
-diagnostics.
+builds once per unit.  These kernels serve the learning rate, the
+mini-batch gradient and the exact diagnostics; the sampler runs the same
+arithmetic stacked over trials and units, bit for bit.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +226,7 @@ class Fabric:
             self.ledger.charge(lk, DOWN, SYMBOL, n_symbols)
 
     def charge_detection(self, batches: np.ndarray, n_objectives: int, mod_order: int) -> None:
-        """Bill one detection, from its record, to the attached ledger and counters.
+        """Bill one detection, from its batches and objective count, to the ledger and counters.
 
         ``batches`` has a row of unit indices per gradient aggregation (2U reals
         down to the batch, 2U up); ``n_objectives`` counts objective evaluations
@@ -236,16 +236,21 @@ class Fabric:
         4U + 2 sqrt(M) U + 2 per sampling iteration for QAM order ``mod_order``.
         """
         u = self.n_users
+        aggregations = np.bincount(batches.ravel(), minlength=self.n_units)
         if self.ledger is not None:
             self.broadcast_symbols(n_objectives * u)
             for lk in self.topology.upload_links(range(self.n_units)):
                 self.ledger.charge(lk, UP, SCALAR, u + n_objectives)
-            for batch, count in Counter(map(tuple, batches.tolist())).items():
-                self.broadcast_reals(2 * u * count, batch)
-                for lk in self.topology.upload_links(batch):
-                    self.ledger.charge(lk, UP, REAL, 2 * u * count)
+            # a batch's reals travel upload_links(batch): each member's link on the star, every
+            # link from the lowest member on along the chain, so counts per unit bill them all
+            counts = (aggregations if self.topology.kind == STAR
+                      else np.bincount(batches.min(axis=1), minlength=self.n_units))
+            for c, count in enumerate(counts.tolist()):
+                if count:
+                    self.broadcast_reals(2 * u * count, [c])
+                    for lk in self.topology.upload_links([c]):
+                        self.ledger.charge(lk, UP, REAL, 2 * u * count)
         if self.counters is not None:
-            aggregations = np.bincount(batches.ravel(), minlength=self.n_units)
             for c, (H_c, _) in enumerate(self._views):
                 b_c = H_c.shape[0]
                 self.counters.add_du("preprocessing", c, 2 * b_c * u)

@@ -182,6 +182,20 @@ def test_noise_free_snr_runs(capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("mini,inf,16,0,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ber", "--preset", "oracle", "--max-bits", "1"],
+    ["convergence", "--preset", "fig3-desk", "--trials", "2", "--m-grid", "4", "--s-grid", "2,4"],
+])
+def test_overflowing_snr_runs_noise_free(argv, capsys):
+    # 1e10 dB is too large for a float in linear units: it runs as inf dB does, row for row
+    outputs = []
+    for snr in ("1e10", "inf"):
+        assert main(argv + ["--snr", snr]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "1e+10" in outputs[0]
+    assert outputs[0].replace("1e+10", "inf") == outputs[1]
+
+
 def test_bandwidth_stdout(capsys):
     code = main(["bandwidth", "--b-grid", "128", "--no-measured"])
     assert code == 0

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from dbpdet import rng as rngmod
 from dbpdet.channel import MimoInstance, generate_instance, generate_rayleigh, partition
-from dbpdet.detectors import (DIAG_APPROX, EXACT_GRAM_FNORM, DetectorConfig, _chain_batches,
-                              _detect_block, learning_rate, lmmse_detect, lmmse_estimate,
-                              mh_accept, mini_batch_gradient, mini_nag_mcmc_detect,
-                              ml_brute_force, momentum_schedule, nag_mcmc_detect, nag_stage,
-                              propose_candidate, trace_csv)
+from dbpdet.detectors import (DIAG_APPROX, EXACT_GRAM_FNORM, DetectionResult, DetectorConfig,
+                              _chain_batches, _detect_block, learning_rate, lmmse_detect,
+                              lmmse_estimate, mh_accept, mini_batch_gradient,
+                              mini_nag_mcmc_detect, ml_brute_force, momentum_schedule,
+                              nag_mcmc_detect, nag_stage, propose_candidate, trace_csv)
 from dbpdet.errors import ConfigError, DegenerateChannelError, NumericInputError
 from dbpdet.fabric import DAISY_CHAIN, STAR, Fabric, MessageLedger, Topology
 from dbpdet.modem import build_constellation, qam_map, symbol_indices
@@ -96,19 +96,27 @@ def _every_unit(config, n_units):
     return np.broadcast_to(np.arange(n_units), (config.nag_iterations, n_units))
 
 
+def _stage(x, fabric, config, tau, batches):
+    """nag_stage from x on one trial (T = 1) of the fabric's clustered channel."""
+    H, y = fabric.clustered.H_blocks[None], fabric.clustered.y_blocks[None]
+    step = np.array([[tau * (fabric.n_units / config.batch_size)]])
+    return nag_stage(x[None].astype(np.complex128), H, y, H.conj().swapaxes(-1, -2), step,
+                     batches[None], momentum_schedule(config.nag_iterations))[0]
+
+
 def test_nag_stage_stationary_and_single_step():
     inst = _noise_free(8, 2, C16, 4)
     fabric = Fabric(partition(inst.H, inst.y, 2))
     config = DetectorConfig(sampling_iterations=1, nag_iterations=4, batch_size=2, seed=0)
     tau = learning_rate(fabric.clustered)
-    z = nag_stage(inst.x_true, config, fabric, tau, _every_unit(config, 2))
+    z = _stage(inst.x_true, fabric, config, tau, _every_unit(config, 2))
     assert np.max(np.abs(z - inst.x_true)) < 1e-14  # gradients vanish at the optimum
 
     inst2 = generate_instance(8, 2, C16, 10.0, 5)
     fabric2 = Fabric(partition(inst2.H, inst2.y, 2))
     cfg1 = DetectorConfig(sampling_iterations=1, nag_iterations=1, batch_size=2, seed=0)
     x0 = C16.points[np.array([0, 5])]
-    z1 = nag_stage(x0, cfg1, fabric2, tau, _every_unit(cfg1, 2))
+    z1 = _stage(x0, fabric2, cfg1, tau, _every_unit(cfg1, 2))
     dense = -(inst2.H.conj().T @ (inst2.y - inst2.H @ x0))
     assert np.allclose(z1, x0 - tau * dense, atol=1e-14)  # rho_1 = 0
 
@@ -139,7 +147,7 @@ def test_nag_stage_aggregates_given_batch_rows():
     tau = learning_rate(fabric.clustered)
     config = DetectorConfig(sampling_iterations=1, nag_iterations=1, batch_size=2)
     x0 = C16.points[np.array([1, 4, 9, 14])]
-    z = nag_stage(x0, config, fabric, tau, np.array([[1, 3]]))
+    z = _stage(x0, fabric, config, tau, np.array([[1, 3]]))
     g = fabric.local_gradient(1, x0) + fabric.local_gradient(3, x0)
     assert np.allclose(z, x0 - tau * (4 / 2) * g, atol=1e-14)  # rho_1 = 0
 
@@ -166,18 +174,20 @@ def test_full_batch_descent_never_increases_objective():
         f0 = f(x0)
         for k in range(1, 5):
             cfg = DetectorConfig(sampling_iterations=1, nag_iterations=k, batch_size=4, seed=0)
-            zk = nag_stage(x0, cfg, fabric, tau, _every_unit(cfg, 4))
+            zk = _stage(x0, fabric, cfg, tau, _every_unit(cfg, 4))
             assert f(zk) <= f0 + 1e-6
 
 
 def test_propose_candidate_properties():
     rng = np.random.default_rng(0)
     z = C16.points[rng.integers(0, 16, 6)]
-    cand = propose_candidate(z, 1e-9, C16, np.random.default_rng(1))
+    cand = propose_candidate(z[None], 1e-9, C16,
+                             np.random.default_rng(1).standard_normal((1, 2, 6)))[0]
     assert np.array_equal(cand, z)  # vanishing step from an on-lattice point
     draws = np.random.default_rng(2)
     gamma = 0.05
-    w = np.array([propose_candidate(np.zeros(1, complex) + 100.0, gamma, C16, draws)
+    w = np.array([propose_candidate(np.zeros((1, 1), complex) + 100.0, gamma, C16,
+                                    draws.standard_normal((1, 2, 1)))[0]
                   for _ in range(3)])  # output stays on the lattice even far away
     assert np.all(np.isin(w.reshape(-1), C16.points))
 
@@ -334,9 +344,46 @@ def test_parallel_samplers():
     assert np.array_equal(res.x_hat, res2.x_hat)
 
 
+def _per_trial_detect(inst, config, fabric, const, trial, x0=None):
+    """Reference sampler, one trial at a time: the per-unit ``Fabric`` kernels, each
+    proposal's walk noise as two sequential ``standard_normal(U)`` draws, one ``mh_accept``
+    per step, and no billing."""
+    n_units, n_users = fabric.n_units, fabric.n_users
+    tau = learning_rate(fabric.clustered, config.lr_mode)
+    if x0 is None:
+        rng_init = rngmod.stream(config.seed, rngmod.INIT_SAMPLE, trial)
+        x0 = const.points[rng_init.integers(0, const.order, size=n_users)]
+    f0 = fabric.objective_sum(x0)
+    rho = momentum_schedule(config.nag_iterations)
+    step = tau * (n_units / config.batch_size)
+    rows = [(x0, f0, f0, 1.0, True)]
+    for sampler in range(config.samplers):
+        batches = _chain_batches(config, n_units, trial, sampler)
+        rng_walk = rngmod.stream(config.seed, rngmod.WALK, trial, sampler)
+        rng_mh = rngmod.stream(config.seed, rngmod.MH, trial, sampler)
+        x_prev, f_prev = x0, f0
+        for t in range(config.sampling_iterations):
+            z, dz = x_prev.astype(np.complex128), np.zeros(n_users, dtype=np.complex128)
+            for k in range(config.nag_iterations):
+                p_k = z + rho[k] * dz
+                z_new = p_k - step * fabric.gradient_sum(p_k, batches[t, k])
+                z, dz = z_new, z_new - z
+            w = math.sqrt(0.5) * (rng_walk.standard_normal(n_users)
+                                  + 1j * rng_walk.standard_normal(n_users))
+            cand = qam_map(z + config.walk_step * w, const)
+            f_cand = fabric.objective_sum(cand)
+            accepted, alpha = mh_accept(f_cand, f_prev, rng_mh)
+            if accepted:
+                x_prev, f_prev = cand, f_cand
+            rows.append((x_prev, f_prev, f_cand, alpha, accepted))
+    t = np.array([0] + [*range(1, config.sampling_iterations + 1)] * config.samplers)
+    return DetectionResult(t, *map(np.array, zip(*rows)), tau=tau)
+
+
 @st.composite
 def _block_case(draw):
-    """A config, cluster count, constellation and distinct, non-contiguous trial indices."""
+    """A config, cluster count, constellation, distinct non-contiguous trial indices, and
+    whether every trial starts from its transmitted vector."""
     c = draw(st.sampled_from([1, 2, 4]))
     config = DetectorConfig(
         sampling_iterations=draw(st.integers(0, 5)), nag_iterations=draw(st.integers(1, 3)),
@@ -348,22 +395,32 @@ def _block_case(draw):
     trials = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5, unique=True))
     n_ant = c * draw(st.integers(1, 4))
     return (config, c, draw(st.sampled_from([C4, C16])), trials, n_ant,
-            draw(st.integers(1, min(n_ant, 8))), draw(st.sampled_from([0.0, 8.0, 20.0])))
+            draw(st.integers(1, min(n_ant, 8))), draw(st.sampled_from([0.0, 8.0, 20.0])),
+            draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_block_case())
 def test_block_engine_matches_per_trial_detections(case):
-    # the block engine is the per-trial sampler run along a leading trial axis: every
-    # array of every trial's record is bit-identical, for any trial order
-    config, c, const, trials, n_ant, n_users, snr_db = case
+    # the engine is the per-trial sampler run along a leading trial axis: every array of
+    # every trial's record is bit-identical, for any trial order, and so is the T = 1 run
+    # that mini_nag_mcmc_detect makes
+    config, c, const, trials, n_ant, n_users, snr_db, from_truth = case
     insts = [generate_instance(n_ant, n_users, const, snr_db, config.seed, t) for t in trials]
-    block = _detect_block(insts, config, const, trials, c)
-    assert np.array_equal(block.t, _run(insts[0], config, c, const, trials[0]).t)
+    x0 = [inst.x_true for inst in insts] if from_truth else None
+    block, batches = _detect_block([partition(inst.H, inst.y, c) for inst in insts], config,
+                                   const, trials, x0)
+    assert batches.shape == (len(trials), config.samplers, config.sampling_iterations,
+                             config.nag_iterations, config.batch_size)
     for i, (inst, trial) in enumerate(zip(insts, trials)):
-        ref = _run(inst, config, c, const, trial)
-        for name in ("x", "f", "f_cand", "alpha", "accepted", "tau"):
-            assert np.array_equal(getattr(block, name)[i], getattr(ref, name)), name
+        fabric = Fabric(partition(inst.H, inst.y, c), Topology(config.topology, c))
+        x0_i = None if x0 is None else x0[i]
+        ref = _per_trial_detect(inst, config, fabric, const, trial, x0_i)
+        runs = [block[i]] + ([_run(inst, config, c, const, trial, x0=x0_i)] if i == 0 else [])
+        for run in runs:
+            assert np.array_equal(run.t, ref.t)
+            for name in ("x", "f", "f_cand", "alpha", "accepted", "tau"):
+                assert np.array_equal(getattr(run, name), getattr(ref, name)), name
         assert np.array_equal(block.x[i, block.decision(2)[i]], ref.x[ref.decision(2)])
 
 
@@ -372,16 +429,17 @@ def test_block_engine_names_first_non_finite_trial():
     for inst in insts[1:]:
         inst.y[0] = np.nan  # every gradient at m = C reads unit 0: the walk input is NaN
 
-    def locate(trial, fn, *args):
+    def locate(trial, fn):
         try:
-            return fn(*args)
+            return fn()
         except Exception as exc:
             exc.add_note(f"trial {trial}")
             raise
 
     with pytest.raises(NumericInputError, match="qam_map") as info:
-        _detect_block(insts, DetectorConfig(sampling_iterations=2, batch_size=4), C16,
-                      [7, 9, 11], 4, locate)
+        _detect_block([partition(inst.H, inst.y, 4) for inst in insts],
+                      DetectorConfig(sampling_iterations=2, batch_size=4), C16, [7, 9, 11],
+                      locate=locate)
     assert info.value.__notes__ == ["trial 9"]
 
 

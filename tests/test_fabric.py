@@ -1,12 +1,14 @@
 """Fabric collectives, ledger accounting, topology routing, locality."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbpdet.channel import generate_instance, generate_rayleigh, partition
-from dbpdet.detectors import DetectorConfig, mini_nag_mcmc_detect
+from dbpdet.detectors import DetectorConfig, _chain_batches, mini_nag_mcmc_detect
 from dbpdet.errors import ConfigError
 from dbpdet.fabric import (DOWN, REAL, SCALAR, SYMBOL, UP, Fabric, MessageLedger,
                            OpCounters, Topology, batch_hessian, batch_hessian_norm,
@@ -193,6 +195,62 @@ def test_charge_detection_counters():
     # three aggregations and three sampling iterations at the CU, sqrt(M) = 4
     assert counters.cu == {"preprocessing": 3 + 2, "gd": 3 * 4 * 3,
                            "sampling": 3 * (4 * 3 + 2 * 4 * 3 + 2)}
+
+
+def _row_billing(fabric, batches, n_objectives, mod_order):
+    """Reference billing: the ledger charged once per distinct batch row, times its count."""
+    u = fabric.n_users
+    if fabric.ledger is not None:
+        fabric.broadcast_symbols(n_objectives * u)
+        for lk in fabric.topology.upload_links(range(fabric.n_units)):
+            fabric.ledger.charge(lk, UP, SCALAR, u + n_objectives)
+        for batch, count in Counter(map(tuple, batches.tolist())).items():
+            fabric.broadcast_reals(2 * u * count, batch)
+            for lk in fabric.topology.upload_links(batch):
+                fabric.ledger.charge(lk, UP, REAL, 2 * u * count)
+    if fabric.counters is not None:
+        aggregations = np.bincount(batches.ravel(), minlength=fabric.n_units)
+        b_c = fabric.clustered.block_rows
+        for c in range(fabric.n_units):
+            fabric.counters.add_du("preprocessing", c, 2 * b_c * u)
+            fabric.counters.add_du("gd", c, 8 * b_c * u * int(aggregations[c]))
+            fabric.counters.add_du("sampling", c, n_objectives * (4 * b_c * u + 2 * b_c + 1))
+        sqrt_m = int(round(np.sqrt(mod_order)))
+        fabric.counters.add_cu("preprocessing", u + 2)
+        fabric.counters.add_cu("gd", 4 * u * len(batches))
+        fabric.counters.add_cu("sampling", (4 * u + 2 * sqrt_m * u + 2) * (n_objectives - 1))
+
+
+@st.composite
+def _billing_case(draw):
+    c = draw(st.sampled_from([1, 2, 4, 8]))
+    config = DetectorConfig(
+        sampling_iterations=draw(st.integers(0, 4)), nag_iterations=draw(st.integers(1, 3)),
+        batch_size=draw(st.sampled_from([m for m in (1, 2, 4, 8) if c % m == 0])),
+        samplers=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return (config, c, draw(st.sampled_from(["star", "daisy_chain"])),
+            draw(st.integers(1, 4)), draw(st.sampled_from([4, 16])), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_billing_case())
+def test_count_billing_matches_row_billing(case):
+    # a detection's batches as the sampler draws them, billed from per-unit counts and
+    # from distinct rows: the same ledger and counters
+    config, c, kind, n_users, mod_order, trial = case
+    batches = np.concatenate([_chain_batches(config, c, trial, p)
+                              for p in range(config.samplers)]).reshape(-1, config.batch_size)
+    n_objectives = 1 + config.samplers * config.sampling_iterations
+    billed = []
+    for bill in (Fabric.charge_detection, _row_billing):
+        ledger, counters = MessageLedger(real_bits=16, symbol_bits=4), OpCounters(c)
+        _, fabric = _fabric(n_ant=2 * c, n_users=min(n_users, 2 * c), n_clusters=c,
+                            kind=kind, ledger=ledger, counters=counters)
+        bill(fabric, batches, n_objectives, mod_order)
+        assert all(int(row.rsplit(",", 1)[1]) > 0 for row in ledger.to_csv().splitlines()[1:])
+        billed.append((ledger.to_csv(), {ph: v.tolist() for ph, v in counters.du.items()},
+                       counters.cu))
+    assert billed[0] == billed[1]
 
 
 @settings(max_examples=40, deadline=None)
