@@ -61,8 +61,8 @@ class DetectorConfig:
             raise ConfigError("nag_iterations must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not self.walk_step > 0:
-            raise ConfigError("walk_step must be positive")
+        if not 0 < self.walk_step < math.inf:
+            raise ConfigError("walk_step must be positive and finite")
         if self.lr_mode not in (EXACT_GRAM_FNORM, DIAG_APPROX):
             raise ConfigError(f"unknown lr_mode {self.lr_mode!r}")
         if self.samplers < 1:
@@ -191,11 +191,13 @@ def nag_stage(x_prev: np.ndarray, H: np.ndarray, y: np.ndarray, adjoint: np.ndar
     schedule.
     """
     trials = np.arange(len(x_prev))[:, None]
+    full = batches.shape[-1] == H.shape[1]  # every unit in every row: no gather is needed
     z, dz = x_prev, np.zeros_like(x_prev)
     for rho_k, unit in zip(rho, batches.swapaxes(0, 1)):
         p_k = z + rho_k * dz
-        r = y[trials, unit] - (H[trials, unit] @ p_k[:, None, :, None])[..., 0]
-        g = -(adjoint[trials, unit] @ r[..., None])[..., 0]  # gathers keep H_c.conj().T's layout
+        at = np.s_[:] if full else (trials, unit)
+        r = y[at] - (H[at] @ p_k[:, None, :, None])[..., 0]
+        g = -(adjoint[at] @ r[..., None])[..., 0]  # gathers keep H_c.conj().T's layout
         z_new = p_k - step * functools.reduce(np.add, g.swapaxes(0, 1))
         z, dz = z_new, z_new - z
     return z
@@ -208,6 +210,8 @@ def _chain_batches(config: DetectorConfig, n_units: int, trial: int, sampler: in
     if m == n_units:
         return np.broadcast_to(np.arange(n_units), shape)
     rng_batch = rngmod.stream(config.seed, rngmod.BATCH, trial, sampler)
+    if m == 1:  # same draws and generator state as one choice(n_units, 1, replace=False) per row
+        return rng_batch.integers(0, n_units, size=shape, dtype=np.intp)
     rows = [rng_batch.choice(n_units, size=m, replace=False) for _ in range(shape[0] * shape[1])]
     return np.sort(np.array(rows, dtype=np.intp).reshape(shape), axis=-1)
 
@@ -281,23 +285,28 @@ def _detect_block(channels, config: DetectorConfig, constellation: Constellation
     adjoint = H.conj().swapaxes(-1, -2)
     step = (tau * (n_clusters / config.batch_size))[:, None]
     rho = momentum_schedule(config.nag_iterations)
-    f0 = _block_objective(H, y, x_init)
-    record = [(x_init, f0, f0, np.ones_like(f0), np.ones(f0.shape, dtype=bool))]
-    for p in chains:
-        x_prev, f_prev = x_init, f0
-        for t in range(n_iter):
-            z = nag_stage(x_prev, H, y, adjoint, step, batches[:, p, t], rho)
-            cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], lambda: propose_candidate(
-                z, config.walk_step, constellation, w[:, p, t]))
-            f_cand = _block_objective(H, y, cand)
-            accepted, alpha = map(np.array, zip(*(
-                locate(trial, lambda: mh_accept(f_cand[i], f_prev[i], rng_mh[i, p]))
-                for i, trial in enumerate(trials))))
-            x_prev = np.where(accepted[:, None], cand, x_prev)
-            f_prev = np.where(accepted, f_cand, f_prev)
-            record.append((x_prev, f_prev, f_cand, alpha, accepted))
     t = np.array([0] + [*range(1, n_iter + 1)] * config.samplers)
-    return DetectionResult(t, *(np.stack(c, axis=1) for c in zip(*record)), tau=tau), batches
+    x = np.repeat(x_init[:, None], len(t), axis=1)  # row 0 of the record: the initial sample
+    f, f_cand, alpha = np.ones((3, len(trials), len(t)))
+    accepted = np.ones((len(trials), len(t)), dtype=bool)
+    f[:, 0] = f_cand[:, 0] = _block_objective(H, y, x_init)
+    for p in chains:
+        x_prev, f_prev = x_init, f[:, 0]
+        for s in range(n_iter):
+            row = 1 + p * n_iter + s
+            z = nag_stage(x_prev, H, y, adjoint, step, batches[:, p, s], rho)
+            propose = lambda: propose_candidate(z, config.walk_step, constellation, w[:, p, s])
+            try:
+                cand = propose()
+            except NumericInputError:  # again, under the first trial with a non-finite iterate
+                cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], propose)
+            f_cand[:, row] = _block_objective(H, y, cand)
+            for i, trial in enumerate(trials):
+                accepted[i, row], alpha[i, row] = locate(trial, lambda: mh_accept(
+                    f_cand[i, row], f_prev[i], rng_mh[i, p]))
+            x[:, row] = x_prev = np.where(accepted[:, row, None], cand, x_prev)
+            f[:, row] = f_prev = np.where(accepted[:, row], f_cand[:, row], f_prev)
+    return DetectionResult(t, x, f, f_cand, alpha, accepted, tau=tau), batches
 
 
 def lmmse_estimate(instance: MimoInstance) -> np.ndarray:

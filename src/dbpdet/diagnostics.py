@@ -7,8 +7,11 @@ against the standard Metropolis-Hastings criterion with the proposal
 ratio included, assemble the full transition matrix, and measure the
 total-variation distance between the chain's stationary distribution
 and the tempered posterior pi(x) proportional to exp(-||y - Hx||^2).
-Objectives and gradients come from the sampler's own :class:`Fabric`
-kernels, so the checks cover the arithmetic the detector executes.
+Objectives and gradients come from the per-unit :class:`Fabric` kernels.  The proposal,
+transition and stationary checks model one gradient step followed by a discrete Gaussian
+over the lattice, not the engine's N_g mini-batch NAG steps and quantized walk;
+``block_engine_matches_per_trial`` checks the engine itself, and the Hessian and
+learning-rate checks the fabric quantities it reads.
 
 Everything runs in log space first; probabilities this small underflow
 double precision long before the ratios of interest become inaccurate.

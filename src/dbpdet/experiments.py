@@ -585,7 +585,7 @@ def parse_config_file(path: str) -> ExperimentSpec:
             max_bit_errors=int(float(sweep.get("max_bit_errors", StoppingRule.max_bit_errors))))
         seed = int(sweep.get("seed", 0))
         workers = int(sweep.get("workers", 1))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: int(float("inf"))
         raise UsageError(f"bad [sweep] section in {path}: {exc}") from exc
     detectors: dict[str, DetectorSpec] = {}
     for section in cp.sections():

@@ -17,6 +17,7 @@ mini-batch gradient and the exact diagnostics; the sampler runs the same
 arithmetic stacked over trials and units, bit for bit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,7 @@ class Topology:
             raise ConfigError("topology needs at least one unit")
 
     def links(self) -> list[str]:
-        if self.kind == STAR:
-            return [f"cu-du{c + 1}" for c in range(self.n_units)]
-        inner = [f"du{c + 1}-du{c + 2}" for c in range(self.n_units - 1)]
-        return inner + [f"du{self.n_units}-cu"]
+        return list(_link_names(self.kind, self.n_units))
 
     def cu_links(self) -> list[str]:
         """Links incident to the CU."""
@@ -66,9 +64,18 @@ class Topology:
         sources = sorted(sources)
         if not sources:
             raise ConfigError("upload needs a nonempty source set")
+        names = _link_names(self.kind, self.n_units)
         if self.kind == STAR:
-            return [f"cu-du{c + 1}" for c in sources]
-        return self.links()[sources[0]:]
+            return [names[c] for c in sources]
+        return list(names[sources[0]:])
+
+
+@functools.cache
+def _link_names(kind: str, n_units: int) -> tuple[str, ...]:
+    """Unit c's link: cu-du(c+1) on the star, its link toward the CU on the chain."""
+    if kind == STAR:
+        return tuple(f"cu-du{c + 1}" for c in range(n_units))
+    return tuple(f"du{c + 1}-du{c + 2}" for c in range(n_units - 1)) + (f"du{n_units}-cu",)
 
 
 class MessageLedger:

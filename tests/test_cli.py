@@ -177,6 +177,33 @@ def test_impossible_budget_or_snr_exits_1(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["validate-config", "ber"])
+@pytest.mark.parametrize("line", ["max_bits = inf", "max_bits = 1e400",
+                                  "max_bit_errors = inf", "max_bit_errors = 1e400"])
+def test_infinite_sweep_budget_exits_1(tmp_path, command, line, capsys):
+    # int(float("inf")) overflows; it is reported like any other bad [sweep] value
+    key = line.split(" = ")[0]
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.replace(f"\n{key} = ", f"\n{line}\n# {key} = "))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad [sweep] section in {path}: ")
+
+
+@pytest.mark.parametrize("command", ["validate-config", "ber"])
+@pytest.mark.parametrize("walk_step", ["inf", "1e400", "nan"])
+def test_non_finite_walk_step_exits_1(tmp_path, command, walk_step, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.replace("batch_size = 1\n",
+                                   f"batch_size = 1\nwalk_step = {walk_step}\n"))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad detector section [detector:mini]: "
+                            "walk_step must be positive and finite\n")
+
+
 def test_noise_free_snr_runs(capsys):
     assert main(["ber", "--preset", "oracle", "--snr", "inf", "--max-bits", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("mini,inf,16,0,")

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbpdet import rng as rngmod
@@ -152,15 +152,64 @@ def test_nag_stage_aggregates_given_batch_rows():
     assert np.allclose(z, x0 - tau * (4 / 2) * g, atol=1e-14)  # rho_1 = 0
 
 
+def test_nag_stage_equals_per_unit_recurrence_bit_for_bit():
+    # a record sees z only through qam_map, so its last bits are pinned here: read ungathered
+    # when every unit is in the batch (m = C), gathered otherwise
+    for seed, m in itertools.product(range(3), (1, 2, 4)):
+        fabrics = [Fabric(partition(inst.H, inst.y, 4)) for inst in
+                   (generate_instance(16, 4, C16, 9.0, seed, t) for t in range(3))]
+        config = DetectorConfig(sampling_iterations=1, nag_iterations=3, batch_size=m, seed=seed)
+        batches = np.array([_chain_batches(config, 4, t, 0)[0] for t in range(3)])
+        step = np.array([[learning_rate(fab.clustered) * (4 / m)] for fab in fabrics])
+        x0 = C16.points[np.random.default_rng(seed).integers(0, 16, (3, 4))]
+        H = np.array([fab.clustered.H_blocks for fab in fabrics])
+        y = np.array([fab.clustered.y_blocks for fab in fabrics])
+        rho = momentum_schedule(3)
+        z = nag_stage(x0, H, y, H.conj().swapaxes(-1, -2), step, batches, rho)
+        for i, fab in enumerate(fabrics):
+            ref, dz = x0[i], np.zeros(4, dtype=np.complex128)
+            for k in range(3):
+                p_k = ref + rho[k] * dz
+                ref_new = p_k - step[i, 0] * fab.gradient_sum(p_k, batches[i, k])
+                ref, dz = ref_new, ref_new - ref
+            assert np.array_equal(z[i], ref), (seed, m, i)
+
+
 def test_chain_batches_match_sequential_draws_and_prefix():
-    config = DetectorConfig(sampling_iterations=5, nag_iterations=3, batch_size=2, seed=9)
-    batches = _chain_batches(config, 8, 4, 1)
-    rng_batch = rngmod.stream(9, rngmod.BATCH, 4, 1)
-    drawn = [np.sort(rng_batch.choice(8, size=2, replace=False)) for _ in range(5 * 3)]
-    assert np.array_equal(batches.reshape(-1, 2), drawn)
-    shorter = _chain_batches(replace(config, sampling_iterations=2), 8, 4, 1)
-    assert np.array_equal(shorter, batches[:2])
-    assert _chain_batches(replace(config, sampling_iterations=0), 8, 4, 1).shape == (0, 3, 2)
+    # m = 1 draws its rows in one call and m = C draws nothing; both equal sorted choice draws
+    for m in (1, 2, 8):
+        config = DetectorConfig(sampling_iterations=5, nag_iterations=3, batch_size=m, seed=9)
+        batches = _chain_batches(config, 8, 4, 1)
+        rng_batch = rngmod.stream(9, rngmod.BATCH, 4, 1)
+        drawn = [np.sort(rng_batch.choice(8, size=m, replace=False)) for _ in range(5 * 3)]
+        assert np.array_equal(batches.reshape(-1, m), drawn), m
+        shorter = _chain_batches(replace(config, sampling_iterations=2), 8, 4, 1)
+        assert np.array_equal(shorter, batches[:2]), m
+        assert _chain_batches(replace(config, sampling_iterations=0), 8, 4, 1).shape == (0, 3, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), trial=st.integers(0, 10 ** 6),
+       sampler=st.integers(0, 3), n_units=st.integers(2, 16),
+       s=st.integers(0, 6), n_g=st.integers(1, 4))
+@example(seed=2 ** 64 - 1, trial=10 ** 6, sampler=3, n_units=16, s=6, n_g=4)
+def test_single_unit_batches_equal_choice_draws_and_generator_state(seed, trial, sampler,
+                                                                    n_units, s, n_g):
+    stream, made = rngmod.stream, []
+
+    def spy(*args):
+        made.append(stream(*args))
+        return made[-1]
+
+    config = DetectorConfig(sampling_iterations=s, nag_iterations=n_g, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rngmod, "stream", spy)
+        batches = _chain_batches(config, n_units, trial, sampler)
+    reference = stream(seed, rngmod.BATCH, trial, sampler)
+    rows = [reference.choice(n_units, size=1, replace=False) for _ in range(s * n_g)]
+    assert batches.shape == (s, n_g, 1)
+    assert np.array_equal(batches.reshape(-1, 1), np.array(rows).reshape(-1, 1))
+    assert made[0].bit_generator.state == reference.bit_generator.state
 
 
 def test_full_batch_descent_never_increases_objective():
@@ -468,8 +517,9 @@ def test_config_validation():
         DetectorConfig(sampling_iterations=-1)
     with pytest.raises(ConfigError):
         DetectorConfig(sampling_iterations=1, nag_iterations=0)
-    with pytest.raises(ConfigError):
-        DetectorConfig(sampling_iterations=1, walk_step=0.0)
+    for walk_step in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            DetectorConfig(sampling_iterations=1, walk_step=walk_step)
     with pytest.raises(ConfigError):
         DetectorConfig(sampling_iterations=1, lr_mode="nope")
     with pytest.raises(ConfigError):

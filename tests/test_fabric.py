@@ -47,6 +47,19 @@ def test_topology_routing():
             topology.upload_links([])
 
 
+@pytest.mark.parametrize("kind", ["star", "daisy_chain"])
+def test_link_lists_are_fresh_on_every_call(kind):
+    # the names are built once per (kind, C); a caller that edits a returned list edits a copy
+    topology = Topology(kind, 4)
+    links, uploads = topology.links(), topology.upload_links([1, 3])
+    before = (list(links), list(uploads))
+    links[0] = "edited"
+    links.append("extra")
+    uploads.clear()
+    assert (topology.links(), topology.upload_links([1, 3])) == before
+    assert Topology(kind, 4).links() == before[0]
+
+
 def test_ledger_widths_and_totals():
     ledger = MessageLedger(real_bits=16, symbol_bits=4)
     ledger.charge("cu-du1", UP, REAL, 6)

@@ -47,6 +47,20 @@ def test_gathered_adjoint_view_equals_per_unit_adjoint(data):
                 "a gather of the conj-swapaxes view differs from H_c.conj().T @ r"
 
 
+def test_full_batch_reads_equal_gathered_reads(data):
+    # with every unit in the batch the engine reads H, y and the adjoint view as they are;
+    # the products must equal those of the gathered copies bit for bit
+    H, y, p, _ = data
+    rows, every = np.arange(T)[:, None], np.broadcast_to(np.arange(C), (T, C))
+    adjoint = H.conj().swapaxes(-1, -2)
+    r = y - (H @ p[:, None, :, None])[..., 0]
+    r_gathered = y[rows, every] - (H[rows, every] @ p[:, None, :, None])[..., 0]
+    assert np.array_equal(r, r_gathered), "ungathered H @ p differs from the gathered one"
+    assert np.array_equal((adjoint @ r[..., None])[..., 0],
+                          (adjoint[rows, every] @ r[..., None])[..., 0]), \
+        "the ungathered adjoint view differs from the gathered one"
+
+
 def test_adjoint_keeps_transposed_layout(data):
     # a C-contiguous copy of the adjoint is a different BLAS call (and differs in its last
     # bits on common builds); the view must keep the layout of H_c.conj().T
