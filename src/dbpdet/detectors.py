@@ -67,6 +67,8 @@ class DetectorConfig:
             raise ConfigError(f"unknown lr_mode {self.lr_mode!r}")
         if self.samplers < 1:
             raise ConfigError("samplers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.topology not in (fb.STAR, fb.DAISY_CHAIN):
             raise ConfigError(f"unknown topology {self.topology!r}")
 
@@ -222,7 +224,6 @@ def mini_nag_mcmc_detect(instance: MimoInstance, config: DetectorConfig, fabric:
     """Run the decentralized mini-batch sampler on a prepared fabric and bill it there."""
     if instance.H.shape != (fabric.n_units * fabric.clustered.block_rows, fabric.n_users):
         raise ConfigError("fabric does not match the instance dimensions")
-    config.check_clusters(fabric.n_units)
     if config.topology != fabric.topology.kind:
         raise ConfigError(f"{config.topology} config on a {fabric.topology.kind} fabric")
     result, batches = _detect_block([fabric.clustered], config, constellation, [trial],
@@ -256,14 +257,13 @@ def _block_objective(H: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _detect_block(channels, config: DetectorConfig, constellation: Constellation, trials,
-                  x0=None, locate=lambda trial, fn: fn()):
+                  x0=None):
     """The sampler on every trial's clustered channel at once, ``channels[i]`` for ``trials[i]``.
 
     Returns a record with a leading trial axis and the (T, samplers, S, N_g, m) batches it
-    drew; nothing is billed.  Each trial's learning rate, x0 (drawn unless given as x0[i]),
-    batches, walk noise and MH tests run as ``locate(trial, fn)``; the NAG stage, the
-    proposal (located at the first non-finite row) and the objective run stacked over
-    (T, C, B_c, U).
+    drew; nothing is billed.  Each trial has its own learning rate, x0 (drawn unless given
+    as x0[i]), batches, walk noise and MH tests; the NAG stage, the proposal and the objective
+    run stacked over (T, C, B_c, U).  No trial's record depends on another's.
     """
     H = np.array([clustered.H_blocks for clustered in channels])
     y = np.array([clustered.y_blocks for clustered in channels])
@@ -281,7 +281,7 @@ def _detect_block(channels, config: DetectorConfig, constellation: Constellation
                 [rngmod.stream(config.seed, rngmod.MH, trial, p) for p in chains])
 
     tau, x_init, batches, w, rng_mh = map(np.array, zip(*(
-        locate(trial, lambda: prepare(i, trial)) for i, trial in enumerate(trials))))
+        prepare(i, trial) for i, trial in enumerate(trials))))
     adjoint = H.conj().swapaxes(-1, -2)
     step = (tau * (n_clusters / config.batch_size))[:, None]
     rho = momentum_schedule(config.nag_iterations)
@@ -295,15 +295,10 @@ def _detect_block(channels, config: DetectorConfig, constellation: Constellation
         for s in range(n_iter):
             row = 1 + p * n_iter + s
             z = nag_stage(x_prev, H, y, adjoint, step, batches[:, p, s], rho)
-            propose = lambda: propose_candidate(z, config.walk_step, constellation, w[:, p, s])
-            try:
-                cand = propose()
-            except NumericInputError:  # again, under the first trial with a non-finite iterate
-                cand = locate(trials[np.argmin(np.isfinite(z).all(axis=1))], propose)
+            cand = propose_candidate(z, config.walk_step, constellation, w[:, p, s])
             f_cand[:, row] = _block_objective(H, y, cand)
-            for i, trial in enumerate(trials):
-                accepted[i, row], alpha[i, row] = locate(trial, lambda: mh_accept(
-                    f_cand[i, row], f_prev[i], rng_mh[i, p]))
+            for i, rng in enumerate(rng_mh[:, p]):
+                accepted[i, row], alpha[i, row] = mh_accept(f_cand[i, row], f_prev[i], rng)
             x[:, row] = x_prev = np.where(accepted[:, row, None], cand, x_prev)
             f[:, row] = f_prev = np.where(accepted[:, row], f_cand[:, row], f_prev)
     return DetectionResult(t, x, f, f_cand, alpha, accepted, tau=tau), batches

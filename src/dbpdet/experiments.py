@@ -14,7 +14,7 @@ import itertools
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .detectors import (DetectorConfig, _detect_block, lmmse_detect, mini_nag_mc
 from .errors import ConfigError, UsageError
 from .fabric import (Fabric, MessageLedger, OpCounters, Topology,
                      centralized_transfer, predicted_bandwidth)
-from .modem import build_constellation, symbols_to_bits
+from .modem import SUPPORTED_ORDERS, build_constellation, symbols_to_bits
 
 BLOCK = 64  # trials per scheduling block; fixed so worker count cannot matter
 
@@ -46,8 +46,10 @@ class SystemSpec:
     def __post_init__(self):
         if self.n_ant < self.n_users or self.n_users < 1:
             raise ConfigError(f"need n_ant >= n_users >= 1, got {self.n_ant}x{self.n_users}")
-        if self.n_ant % self.n_clusters != 0:
-            raise ConfigError(f"cluster count {self.n_clusters} must divide {self.n_ant}")
+        if self.n_clusters < 1 or self.n_ant % self.n_clusters:
+            raise ConfigError(f"n_clusters {self.n_clusters} must be >= 1 and divide {self.n_ant}")
+        if self.mod_order not in SUPPORTED_ORDERS:
+            raise ConfigError(f"mod_order {self.mod_order} is not one of {SUPPORTED_ORDERS}")
 
     def check_snr(self, snr_db) -> None:
         """ConfigError, before any trial runs, for an SNR point that no instance accepts."""
@@ -103,57 +105,61 @@ class ExperimentSpec:
         self.system.check_snr(self.snr_db)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for config in (d.config for d in self.detectors.values() if d.kind == MINI_NAG_MCMC):
+            config.check_clusters(self.system.n_clusters)  # the centralized one runs at m = C
 
 
 # --------------------------------------------------------------------------
 # block evaluation
 # --------------------------------------------------------------------------
 
-def _decisions(det, system, constellation, instances, trials, locate):
+def _decisions(det, system, constellation, instances, trials):
     """The detector's (trials, U) decisions as a function of S; LMMSE and ML have no S."""
     if det.kind in (LMMSE, ML):
-        x_hat = np.array([locate(trial, lambda: lmmse_detect(inst, constellation)
-                                 if det.kind == LMMSE else ml_brute_force(inst, constellation))
-                          for inst, trial in zip(instances, trials)])
+        x_hat = np.array([lmmse_detect(inst, constellation) if det.kind == LMMSE
+                          else ml_brute_force(inst, constellation) for inst in instances])
         return lambda s: x_hat
     config = det.config if det.kind == MINI_NAG_MCMC else det.config.centralized(system.n_clusters)
     channels = [partition(inst.H, inst.y, system.n_clusters) for inst in instances]
-    result = _detect_block(channels, config, constellation, trials, locate=locate)[0]
+    result = _detect_block(channels, config, constellation, trials)[0]
     return lambda s: result.x[np.arange(len(instances)), result.decision(s)]
 
 
-def _ber_block(args):
-    """(BLOCK, columns, 2) bit and symbol errors of the block's trials.
-
-    ``columns`` lists (detector name, S) pairs: each detector runs once per
-    block, in the spec's order, and a sampler column scores the run's
-    decisions at S (the whole run's at ``math.inf``).
-    """
-    system, detectors, columns, snr_db, seed, block = args
-    constellation = build_constellation(system.mod_order)
-    trials = range(block * BLOCK, (block + 1) * BLOCK)
-
-    def locate(trial, fn):
-        """fn(), noting the block and trial on any exception it raises."""
-        try:
-            return fn()
-        except Exception as exc:
-            exc.add_note(f"in block {block}, trial {trial}")
-            raise
-
-    instances = [locate(trial, lambda: generate_instance(
-        system.n_ant, system.n_users, constellation, snr_db, seed, trial)) for trial in trials]
-    decide = {name: _decisions(det, system, constellation, instances, trials, locate)
+def _trial_errors(system, detectors, columns, snr_db, seed, constellation, trials):
+    """(trials, columns, 2) bit and symbol errors of ``trials``, detected together: each
+    detector runs once, in the spec's order, and a (detector name, S) column scores the
+    run's decisions at S (the whole run's at ``math.inf``)."""
+    instances = [generate_instance(system.n_ant, system.n_users, constellation, snr_db, seed,
+                                   trial) for trial in trials]
+    decide = {name: _decisions(det, system, constellation, instances, trials)
               for name, det in detectors.items()}
     x_true = np.array([inst.x_true for inst in instances])
-    true_bits = symbols_to_bits(x_true, constellation).reshape(BLOCK, -1)
-    out = np.zeros((BLOCK, len(columns), 2), dtype=np.int64)
-    for col, (name, s) in enumerate(columns):
-        x_hat = decide[name](s)
-        out[:, col, 0] = np.sum(symbols_to_bits(x_hat, constellation).reshape(BLOCK, -1)
-                                != true_bits, axis=1)
-        out[:, col, 1] = np.sum(x_hat != x_true, axis=1)
-    return out
+    bits = lambda x: symbols_to_bits(x, constellation).reshape(len(trials), -1)
+    true_bits = bits(x_true)
+    errors = [(np.sum(bits(x_hat) != true_bits, axis=1), np.sum(x_hat != x_true, axis=1))
+              for x_hat in (decide[name](s) for name, s in columns)]
+    return np.array(errors, dtype=np.int64).transpose(2, 0, 1)
+
+
+def _ber_block(args):
+    """(BLOCK, columns, 2) errors of block ``args[-1]``.  If it raises, its trials run again
+    one at a time, in index order, and the first to raise alone gets the note "in block B,
+    trial T" (a trial's errors do not depend on its block); else the block's error stands."""
+    *point, block = args
+    constellation = build_constellation(point[0].mod_order)
+    trials = range(block * BLOCK, (block + 1) * BLOCK)
+    try:
+        return _trial_errors(*point, constellation, trials)
+    except Exception:
+        for trial in trials:
+            try:
+                _trial_errors(*point, constellation, [trial])
+            except Exception as exc:
+                exc.add_note(f"in block {block}, trial {trial}")
+                raise
+        raise
 
 
 def _run_blocks(args, workers, n_trials=None, stop=lambda blocks: False):
@@ -472,11 +478,9 @@ def run_complexity_report(base_system: SystemSpec, base_config: DetectorConfig,
 
     b_grid = [base_system.n_ant * k for k in (1, 2, 4)]
     # grow B with C fixed: per-DU work tracks the block size B_c
-    sweep_bc = []
-    for b in b_grid:
-        row = measure_complexity(replace(base_system, n_ant=b), base_config, seed)
-        rows.append(row)
-        sweep_bc.append(row)
+    sweep_bc = [measure_complexity(replace(base_system, n_ant=b), base_config, seed)
+                for b in b_grid]
+    rows.extend(sweep_bc)
     slope, intercept, r2 = linear_fit([r.block_rows for r in sweep_bc],
                                       [r.du_mults_mean for r in sweep_bc])
     fits["du_vs_block_rows"] = {"slope": slope, "intercept": intercept, "r2": r2}
@@ -522,9 +526,8 @@ def complexity_csv(rows: list[ComplexityRow]) -> str:
 # presets and config files
 # --------------------------------------------------------------------------
 
-def _mini(s, m, seed=0, topology=fb.STAR):
-    return DetectorSpec(MINI_NAG_MCMC, DetectorConfig(
-        sampling_iterations=s, batch_size=m, seed=seed, topology=topology))
+def _mini(s, m, seed=0):
+    return DetectorSpec(MINI_NAG_MCMC, DetectorConfig(s, batch_size=m, seed=seed))
 
 
 def preset(name: str, seed: int = 0) -> ExperimentSpec:
@@ -557,10 +560,7 @@ def preset(name: str, seed: int = 0) -> ExperimentSpec:
     raise UsageError(f"unknown preset {name!r}; available: fig3-desk, fig4-desk, oracle")
 
 
-_DETECTOR_KEYS = {
-    "sampling_iterations": int, "nag_iterations": int, "batch_size": int,
-    "walk_step": float, "lr_mode": str, "samplers": int, "seed": int, "topology": str,
-}
+_DETECTOR_KEYS = {field.name: field.type for field in fields(DetectorConfig)}
 
 
 def parse_config_file(path: str) -> ExperimentSpec:

@@ -161,6 +161,67 @@ def test_non_finite_trial_names_block_and_trial(config_path, monkeypatch, capsys
                             "(in block 1, trial 70)\n")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_trial_to_fail_alone_is_named(config_path, monkeypatch, capsys, workers):
+    generate, ml = experiments.generate_instance, experiments.ml_brute_force
+    made = {}
+
+    def nan_at_trial_70(*args):
+        instance = made[args[-1]] = generate(*args)
+        if args[-1] == 70:
+            instance.y[0] = np.nan
+        return instance
+
+    def failing_at_trial_66(instance, constellation):
+        if instance is made.get(66):
+            raise CapacityError("injected")
+        return ml(instance, constellation)
+
+    # block 1 fails first in mini, on trial 70; run again one at a time, its trials fail
+    # first at trial 66, in ml, the last detector in the spec's order
+    monkeypatch.setattr(experiments, "generate_instance", nan_at_trial_70)
+    monkeypatch.setattr(experiments, "ml_brute_force", failing_at_trial_66)
+    with open(config_path, "a") as fh:
+        fh.write("\n[detector:ml]\nkind = ml\n")
+    assert main(["ber", "--config", config_path, "--workers", str(workers)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime error: CapacityError: injected (in block 1, trial 66)\n"
+
+
+_BAD_VALUES = [("n_clusters = 2", "n_clusters = 0", "n_clusters"),
+               ("n_clusters = 2", "n_clusters = -2", "n_clusters"),
+               ("mod_order = 4", "mod_order = 8", "mod_order"),
+               ("mod_order = 4", "mod_order = 0", "mod_order"),
+               ("mod_order = 4", "mod_order = -4", "mod_order"),
+               ("batch_size = 1", "batch_size = 3", "batch_size"),
+               ("seed = 2", "seed = -1", "seed"),
+               ("batch_size = 1", "batch_size = 1\nseed = -3", "seed")]
+
+
+@pytest.mark.parametrize("argv, edit, key", [
+    *(pytest.param([command], (old, new), key, id=f"{command} {new}".replace("\n", " "))
+      for old, new, key in _BAD_VALUES for command in ("validate-config", "ber")),
+    *(pytest.param(argv, None, key, id=" ".join(argv)) for argv, key in (
+        (["complexity", "--c", "0"], "n_clusters"),
+        (["bandwidth", "--c", "0"], "n_clusters"),
+        (["bandwidth", "--c", "0", "--no-measured"], "n_clusters"),
+        (["ber", "--preset", "oracle", "--seed", "-1"], "seed"),
+        (["convergence", "--preset", "fig3-desk", "--seed", "-1", "--trials", "1"], "seed"))),
+])
+def test_bad_system_batch_size_or_seed_exits_1(argv, edit, key, tmp_path, capsys):
+    # no cluster, an unsupported QAM order, a batch size that does not divide C = 2 or a
+    # negative seed: validate-config rejects what the run would, before any row is printed
+    if edit:
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG.replace(*edit))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["ber", "--preset", "oracle", "--snr", "10", "--max-bits", "0"],
     ["ber", "--preset", "oracle", "--snr", "10", "--max-bits", "-5"],

@@ -473,25 +473,6 @@ def test_block_engine_matches_per_trial_detections(case):
         assert np.array_equal(block.x[i, block.decision(2)[i]], ref.x[ref.decision(2)])
 
 
-def test_block_engine_names_first_non_finite_trial():
-    insts = [generate_instance(16, 4, C16, 10.0, 3, t) for t in range(3)]
-    for inst in insts[1:]:
-        inst.y[0] = np.nan  # every gradient at m = C reads unit 0: the walk input is NaN
-
-    def locate(trial, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            exc.add_note(f"trial {trial}")
-            raise
-
-    with pytest.raises(NumericInputError, match="qam_map") as info:
-        _detect_block([partition(inst.H, inst.y, 4) for inst in insts],
-                      DetectorConfig(sampling_iterations=2, batch_size=4), C16, [7, 9, 11],
-                      locate=locate)
-    assert info.value.__notes__ == ["trial 9"]
-
-
 def test_config_topology_must_match_fabric():
     inst = generate_instance(16, 4, C16, 9.0, 27)
     config = DetectorConfig(sampling_iterations=3, batch_size=2, seed=9, topology="daisy_chain")

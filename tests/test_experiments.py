@@ -1,5 +1,6 @@
 """Harness behavior: stopping, reproducibility, reports, config parsing."""
 
+import math
 import multiprocessing
 import os
 
@@ -9,7 +10,7 @@ import pytest
 from dbpdet import experiments
 
 from dbpdet.detectors import DetectorConfig
-from dbpdet.errors import ConfigError, UsageError
+from dbpdet.errors import ConfigError, NumericInputError, UsageError
 from dbpdet.experiments import (LMMSE, MINI_NAG_MCMC, ML, NAG_MCMC, DetectorSpec,
                                 ExperimentSpec, StoppingRule, SystemSpec,
                                 bandwidth_csv, ber_csv, linear_fit,
@@ -141,6 +142,35 @@ def test_paired_trials_start_only_needed_blocks(workers, tmp_path, monkeypatch):
     res = run_paired_trials(system, dets, 8.0, 130, seed=3, workers=workers)
     assert np.array_equal(res["lmmse"], reference["lmmse"])
     assert sorted(map(int, log.read_text().split())) == [0, 1, 2]  # ceil(130 / 64) blocks
+
+
+def test_spec_rejects_negative_seed_and_mini_batch_size_not_dividing_c():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        _spec(detectors={"lmmse": DetectorSpec(LMMSE)}, seed=-1)
+    bad = DetectorConfig(sampling_iterations=3, batch_size=3)
+    with pytest.raises(ConfigError, match="batch_size 3 must divide 2 clusters"):
+        _spec(detectors={"mini": DetectorSpec(MINI_NAG_MCMC, bad)})
+    _spec(detectors={"nag": DetectorSpec(NAG_MCMC, bad)})  # the centralized sampler runs at m = C
+
+
+def test_ber_block_names_first_non_finite_trial(monkeypatch):
+    # a failed block runs its trials again one at a time: of trials 1 and 2 of 3 with a NaN
+    # y, the first is named, with the exception it raises alone
+    generate = experiments.generate_instance
+
+    def nan_from_trial_1(*args):
+        instance = generate(*args)
+        if args[-1] >= 1:
+            instance.y[0] = np.nan  # every gradient at m = C reads unit 0: the walk input is NaN
+        return instance
+
+    monkeypatch.setattr(experiments, "BLOCK", 3)
+    monkeypatch.setattr(experiments, "generate_instance", nan_from_trial_1)
+    dets = {"mini": DetectorSpec(MINI_NAG_MCMC, DetectorConfig(sampling_iterations=2,
+                                                               batch_size=4))}
+    with pytest.raises(NumericInputError, match="qam_map") as info:
+        experiments._ber_block((SystemSpec(16, 4, 4, 16), dets, [("mini", math.inf)], 10.0, 3, 0))
+    assert info.value.__notes__ == ["in block 0, trial 1"]
 
 
 @pytest.mark.parametrize("samplers", [1, 3])
